@@ -348,17 +348,37 @@ let profile_cmd =
     let doc = "Workload to profile (default: every bundled workload)." in
     Arg.(value & pos 0 (some string) None & info [] ~docv:"APP" ~doc)
   in
+  (* Baseline and protected runs are compared under one tracing
+     setting: "baseline" and "protected" both run with the function
+     trace off; the function-traced pair is listed as separate stages. *)
+  let label = function
+    | "baseline-untraced" -> "baseline"
+    | "baseline" -> "baseline-fn-traced"
+    | "protected-traced" -> "protected-fn-traced"
+    | stage -> stage
+  in
   let profile_app (app : Apps.App.t) =
     let c = P.ctx app in
     let t0 = Unix.gettimeofday () in
     P.warm c;
+    ignore (P.baseline_untraced c);
+    ignore (P.protected_traced c);
     let total = Unix.gettimeofday () -. t0 in
     Format.printf "== %s ==@." app.Apps.App.app_name;
+    let timings = P.timings c in
     List.iter
       (fun (stage, dt) ->
-        Format.printf "  %-18s %9.2f ms@." stage (dt *. 1000.0))
-      (P.timings c);
-    Format.printf "  %-18s %9.2f ms@." "total" (total *. 1000.0);
+        Format.printf "  %-20s %9.2f ms@." (label stage) (dt *. 1000.0))
+      timings;
+    Format.printf "  %-20s %9.2f ms@." "total" (total *. 1000.0);
+    let ratio prot base =
+      match (List.assoc_opt prot timings, List.assoc_opt base timings) with
+      | Some p, Some b when b > 0.0 -> Printf.sprintf "%.2fx" (p /. b)
+      | _ -> "n/a"
+    in
+    Format.printf "  protected/baseline host time: %s untraced, %s fn-traced@."
+      (ratio "protected" "baseline-untraced")
+      (ratio "protected-traced" "baseline");
     let p = P.protected_ c in
     Format.printf "  monitor: %a@." Mon.Stats.pp p.P.p_stats
   in
@@ -377,7 +397,10 @@ let profile_cmd =
        ~doc:
          "Materialize a workload's full artifact pipeline and print the \
           wall-clock cost of every stage (validate, analyses, partition, \
-          image, reference runs, ACES)")
+          image, reference runs, ACES).  The baseline and protected runs \
+          are timed once each with the function trace off, and once \
+          each with it on (the -fn-traced stages), so each pair compares \
+          like with like.")
     Term.(const run $ app_opt)
 
 (* -------------------------------------------------------------- syncsets *)

@@ -147,6 +147,19 @@ let check st ~privileged ~addr ~access =
   | Cheri_state c -> Cheri.check c ~privileged ~addr ~access
   | Poe_state p -> Poe.check p ~privileged ~addr ~access
 
+let gen = function
+  | Mpu_state m -> m.Mpu.gen
+  | Pmp_state p -> p.Pmp.gen
+  | Cheri_state c -> c.Cheri.gen
+  | Poe_state p -> p.Poe.gen
+
+let window st ~privileged ~addr ~access =
+  match st with
+  | Mpu_state m -> Mpu.window m ~addr
+  | Pmp_state p -> Pmp.window p ~addr
+  | Cheri_state c -> Cheri.window c ~privileged ~addr ~access
+  | Poe_state p -> Poe.window p ~privileged ~addr
+
 let enable = function
   | Mpu_state m -> Mpu.enable m
   | Pmp_state p -> Pmp.enable p

@@ -50,5 +50,19 @@ val check :
   access:Fault.access ->
   (unit, Fault.info) result
 
+(** The state's generation counter: every setter of the underlying
+    unit bumps it.  Two different states may carry equal values. *)
+val gen : state -> int
+
+(** [window st ~privileged ~addr ~access], for an access {!check}
+    allows, is a [\[lo, hi)] around [addr] in which every address gets
+    the same {!check} outcome for this privilege and access kind, as
+    long as {!gen} does not change: the deciding MPU region or
+    sub-region clipped by higher-numbered regions, the lowest matching
+    PMP entry clipped by lower ones, the granting capability, or the
+    first POE overlay clipped by earlier ones. *)
+val window :
+  state -> privileged:bool -> addr:int -> access:Fault.access -> int * int
+
 val enable : state -> unit
 val pp : Format.formatter -> state -> unit

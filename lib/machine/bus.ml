@@ -6,7 +6,25 @@
    2. the MPU checks every non-PPB access (the ARM MPU does not confine
       PPB accesses);
    3. unmapped addresses bus-fault;
-   4. flash writes bus-fault (the model has no flash programming). *)
+   4. flash writes bus-fault (the model has no flash programming).
+
+   Step 2 goes through a permitted-window cache, a software TLB in the
+   manner of QEMU's softmmu: one small direct-mapped table per access
+   kind (read, write, execute), indexed by the 4 KiB page of the
+   address.  An entry holds a window [lo, hi) in which the backend
+   allowed the access ({!Backend.window}), tagged with the privilege
+   level and the backend's generation counter.  Every backend setter bumps the
+   counter, so a hit is exactly an access {!Backend.check} would allow;
+   misses, denials and faults take {!Backend.check} itself, so fault
+   info, region virtualization, key recycling and PPB emulation never
+   see the cache. *)
+
+let cache_slots = 8 (* per access kind; a power of two *)
+let page_bits = 12
+
+(* entry layout in [cache]: lo, hi, tag *)
+let entry_words = 3
+let no_tag = -1
 
 type t = {
   flash : Memory.t;
@@ -18,34 +36,92 @@ type t = {
           the same MPU object, so legacy pokes through [mpu] stay
           authoritative until another backend is installed *)
   cpu : Cpu.t;
+  cache : int array;
+      (** the permitted-window cache: [3 * cache_slots] entries of
+          [entry_words] ints, read table first, then write, then
+          execute *)
 }
 
+(* Drop every cached window.  Generation counters of two different
+   backend states can be equal, so a new state must not inherit the
+   old one's entries. *)
+let flush t =
+  for e = 0 to (3 * cache_slots) - 1 do
+    t.cache.((e * entry_words) + 2) <- no_tag
+  done
+
 let create ~(board : Memmap.board) =
-  let cpu = Cpu.create () in
   let mpu = Mpu.create () in
-  { flash = Memory.create ~base:Memmap.flash_base ~size:board.flash_size;
-    sram = Memory.create ~base:Memmap.sram_base ~size:board.sram_size;
-    devices = [];
-    mpu;
-    prot = Backend.Mpu_state mpu;
-    cpu }
+  let t =
+    { flash = Memory.create ~base:Memmap.flash_base ~size:board.flash_size;
+      sram = Memory.create ~base:Memmap.sram_base ~size:board.sram_size;
+      devices = [];
+      mpu;
+      prot = Backend.Mpu_state mpu;
+      cpu = Cpu.create ();
+      cache = Array.make (3 * cache_slots * entry_words) 0 }
+  in
+  flush t;
+  t
 
 let attach t d = t.devices <- d :: t.devices
 
 let find_device t addr = List.find_opt (fun d -> Device.contains d addr) t.devices
 
-let set_protection t st = t.prot <- st
+let set_protection t st =
+  t.prot <- st;
+  flush t
+
 let protection t = t.prot
 
+let table_of (access : Fault.access) =
+  match access with Read -> 0 | Write -> 1 | Execute -> 2
+
+let check_miss t ~privileged ~addr ~access ~entry ~tag =
+  match Backend.check t.prot ~privileged ~addr ~access with
+  | Error info -> raise (Fault.Mem_manage info)
+  | Ok () ->
+    if t.cache.(entry + 2) <> tag then begin
+      (* the slot's first allowed miss under this tag caches the
+         address alone: a window pays for itself only if the slot is
+         used again before the next generation change, which a
+         switch-heavy run rarely does *)
+      t.cache.(entry) <- addr;
+      t.cache.(entry + 1) <- addr + 1
+    end
+    else begin
+      let lo, hi = Backend.window t.prot ~privileged ~addr ~access in
+      t.cache.(entry) <- lo;
+      t.cache.(entry + 1) <- hi
+    end;
+    t.cache.(entry + 2) <- tag
+
 let mpu_check t ~addr ~access =
-  match t.prot with
-  (* disabled-MPU short circuit: baseline runs take this on every bus
-     access, so don't pay two cross-module calls to learn "allowed" *)
-  | Backend.Mpu_state m when not m.Mpu.enabled -> ()
-  | st -> (
-    match Backend.check st ~privileged:t.cpu.Cpu.privileged ~addr ~access with
-    | Ok () -> ()
-    | Error info -> raise (Fault.Mem_manage info))
+  let gen =
+    match t.prot with
+    (* disabled-MPU short circuit: baseline runs take this on every bus
+       access, so they don't pay for the cache to learn "allowed" *)
+    | Backend.Mpu_state m -> if m.Mpu.enabled then m.Mpu.gen else -1
+    | Backend.Pmp_state p -> p.Pmp.gen
+    | Backend.Cheri_state c -> c.Cheri.gen
+    | Backend.Poe_state p -> p.Poe.gen
+  in
+  if gen >= 0 then begin
+    let privileged = t.cpu.Cpu.privileged in
+    let tag = (gen lsl 1) lor if privileged then 1 else 0 in
+    let entry =
+      ((table_of access * cache_slots)
+      + ((addr lsr page_bits) land (cache_slots - 1)))
+      * entry_words
+    in
+    let c = t.cache in
+    if
+      not
+        (Array.unsafe_get c (entry + 2) = tag
+        && addr >= Array.unsafe_get c entry
+        && addr < Array.unsafe_get c (entry + 1))
+    then check_miss t ~privileged ~addr ~access ~entry ~tag
+  end
 
 let fault_bus t ~addr ~access =
   raise (Fault.Bus { Fault.addr; access; privileged = t.cpu.Cpu.privileged })

@@ -3,22 +3,30 @@
 
     PPB accesses require the privileged level (else {!Fault.Bus}); all
     other accesses are MPU-checked; unmapped addresses and flash writes
-    bus-fault. *)
+    bus-fault.  Allowed checks are remembered in a small cache of
+    permitted windows (a software TLB), tagged with the privilege level
+    and the backend's {!Backend.gen}; misses and denials take
+    {!Backend.check}, so every outcome, fault info included, equals the
+    uncached check. *)
 
-type t = {
+(** Private: the backend changes only through {!set_protection}, which
+    flushes the window cache. *)
+type t = private {
   flash : Memory.t;
   sram : Memory.t;
   mutable devices : Device.t list;
   mpu : Mpu.t;
   mutable prot : Backend.state;
   cpu : Cpu.t;
+  cache : int array;
 }
 
 val create : board:Memmap.board -> t
 
-(** Swap the enforcement backend.  The default is [Backend.Mpu_state]
-    over the bus's own [mpu], so MPU-backed machines behave exactly as
-    before the backend abstraction existed. *)
+(** Swap the enforcement backend and flush the window cache.  The
+    default is [Backend.Mpu_state] over the bus's own [mpu], so
+    MPU-backed machines behave exactly as before the backend
+    abstraction existed. *)
 val set_protection : t -> Backend.state -> unit
 
 val protection : t -> Backend.state

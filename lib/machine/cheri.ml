@@ -24,7 +24,11 @@ type cap = {
   cap_x : bool;
 }
 
-type t = { mutable caps : cap list; mutable enforcing : bool }
+type t = {
+  mutable caps : cap list;
+  mutable enforcing : bool;
+  mutable gen : int;  (** bumped by every setter *)
+}
 
 exception Invalid_cap of string
 
@@ -61,7 +65,7 @@ let round_bounds ~base ~len =
   in
   go (max 1 (representable_align len))
 
-let create () = { caps = []; enforcing = false }
+let create () = { caps = []; enforcing = false; gen = 0 }
 
 (* Build a capability, refusing unrepresentable bounds (callers round
    with {!round_bounds} first when widening is acceptable). *)
@@ -75,10 +79,24 @@ let cap ?(r = true) ?(w = false) ?(x = false) ~base ~len () =
             base len (representable_align len)));
   { cap_base = base; cap_len = len; cap_r = r; cap_w = w; cap_x = x }
 
-let clear t = t.caps <- []
-let add t c = t.caps <- t.caps @ [ c ]
-let grant t cs = t.caps <- t.caps @ cs
-let enable t = t.enforcing <- true
+let bump t = t.gen <- t.gen + 1
+
+let clear t =
+  t.caps <- [];
+  bump t
+
+let add t c =
+  t.caps <- t.caps @ [ c ];
+  bump t
+
+let grant t cs =
+  t.caps <- t.caps @ cs;
+  bump t
+
+let enable t =
+  t.enforcing <- true;
+  bump t
+
 let caps t = t.caps
 let cap_count t = List.length t.caps
 
@@ -90,18 +108,34 @@ let cap_allows c (access : Fault.access) =
   | Fault.Write -> c.cap_w
   | Fault.Execute -> c.cap_x && c.cap_r
 
+(* Does some capability in [caps] grant [access] at [addr]?  A
+   top-level loop, so the allow path of [check] allocates nothing. *)
+let rec grants caps addr access =
+  match caps with
+  | [] -> false
+  | c :: rest ->
+    (cap_matches c addr && cap_allows c access) || grants rest addr access
+
 (* Check one access: any capability in the table that covers the address
    and carries the permission grants it (capabilities are grants, not a
    priority scheme — there is no "deny" capability to shadow another).
-   Privileged code holds the default capability and always passes. *)
+   Privileged code holds the default capability and always passes.  The
+   info record is only built on the fault path. *)
 let check t ~privileged ~addr ~(access : Fault.access) =
-  let info = { Fault.addr; access; privileged } in
-  if not t.enforcing then Ok ()
-  else if privileged then Ok ()
-  else if
-    List.exists (fun c -> cap_matches c addr && cap_allows c access) t.caps
-  then Ok ()
-  else Error info
+  if (not t.enforcing) || privileged || grants t.caps addr access then Ok ()
+  else Error { Fault.addr; access; privileged }
+
+(* The window [lo, hi) around an allowed [addr]: the granting
+   capability's bounds (grants only accumulate, so nothing clips them),
+   or everything when the default capability applies. *)
+let window t ~privileged ~addr ~access =
+  if (not t.enforcing) || privileged then (min_int, max_int)
+  else
+    match
+      List.find_opt (fun c -> cap_matches c addr && cap_allows c access) t.caps
+    with
+    | Some c -> (c.cap_base, c.cap_base + c.cap_len)
+    | None -> invalid_arg "Cheri.window: access not granted"
 
 let pp_cap fmt c =
   Fmt.pf fmt "cap [0x%08X,+%d) %s%s%s" c.cap_base c.cap_len

@@ -11,7 +11,13 @@ type cap = {
   cap_x : bool;
 }
 
-type t = { mutable caps : cap list; mutable enforcing : bool }
+(** A capability table plus the enforcing bit.  Private, so that every
+    write goes through a setter below; every setter bumps [gen]. *)
+type t = private {
+  mutable caps : cap list;
+  mutable enforcing : bool;
+  mutable gen : int;
+}
 
 exception Invalid_cap of string
 
@@ -37,6 +43,7 @@ val clear : t -> unit
 val add : t -> cap -> unit
 val grant : t -> cap list -> unit
 val enable : t -> unit
+
 val caps : t -> cap list
 val cap_count : t -> int
 val cap_matches : cap -> int -> bool
@@ -47,6 +54,14 @@ val check :
   addr:int ->
   access:Fault.access ->
   (unit, Fault.info) result
+
+(** [window t ~privileged ~addr ~access] is the [\[lo, hi)] around
+    [addr] over which [access] stays granted: the granting capability's
+    bounds, or the whole space for the default capability.  Every
+    address in it gets [addr]'s {!check} outcome.
+    @raise Invalid_argument if {!check} denies the access. *)
+val window :
+  t -> privileged:bool -> addr:int -> access:Fault.access -> int * int
 
 val pp_cap : Format.formatter -> cap -> unit
 val pp : Format.formatter -> t -> unit

@@ -24,9 +24,14 @@ type region = {
   executable : bool;
 }
 
+type slots = region option array
+
 type t = {
   mutable enabled : bool;
-  regions : region option array;  (** slots 0..7 *)
+  regions : slots;  (** slots 0..7 *)
+  mutable gen : int;
+      (** bumped by every setter: a cached permission decision tagged
+          with an older value is stale *)
 }
 
 exception Invalid_region of string
@@ -35,7 +40,8 @@ let region_count = 8
 let min_size_log2 = 5 (* 32 bytes *)
 let subregion_min_log2 = 8 (* SRD is only implemented for >= 256-byte regions *)
 
-let create () = { enabled = false; regions = Array.make region_count None }
+let create () =
+  { enabled = false; regions = Array.make region_count None; gen = 0 }
 
 let region ?(srd = 0) ?(executable = false) ~base ~size_log2 ~privileged
     ~unprivileged () =
@@ -58,13 +64,22 @@ let region_size_for bytes =
 let set t slot r =
   if slot < 0 || slot >= region_count then
     raise (Invalid_region (Printf.sprintf "region number %d" slot));
-  t.regions.(slot) <- r
+  t.regions.(slot) <- r;
+  t.gen <- t.gen + 1
 
 let get t slot = t.regions.(slot)
-let enable t = t.enabled <- true
-let disable t = t.enabled <- false
 
-let clear t = Array.fill t.regions 0 region_count None
+let enable t =
+  t.enabled <- true;
+  t.gen <- t.gen + 1
+
+let disable t =
+  t.enabled <- false;
+  t.gen <- t.gen + 1
+
+let clear t =
+  Array.fill t.regions 0 region_count None;
+  t.gen <- t.gen + 1
 
 (* Does [r] match [addr], taking disabled sub-regions into account? *)
 let region_matches r addr =
@@ -86,36 +101,75 @@ let perm_allows perm access =
        [check] where the region is known *)
     perm <> No_access
 
-(* Check a single access.  Returns [Ok ()] or the faulting info.  The
-   info record is only built on the fault paths: this runs per bus
-   access, and the common allow outcome must not allocate. *)
+(* The highest-numbered slot at or below [n] whose region matches
+   [addr], or -1.  A plain top-level loop: [check] runs per bus access,
+   and the allow outcome must not allocate (no closure, no option). *)
+let rec deciding regions addr n =
+  if n < 0 then -1
+  else
+    match Array.unsafe_get regions n with
+    | Some r when region_matches r addr -> n
+    | Some _ | None -> deciding regions addr (n - 1)
+
+(* Check a single access.  Returns [Ok ()] or the faulting info, which
+   is only built on the fault paths. *)
 let check t ~privileged ~addr ~(access : Fault.access) =
   if not t.enabled then Ok ()
   else
-    let rec highest n best =
-      if n >= region_count then best
-      else
-        let best =
-          match t.regions.(n) with
-          | Some r when region_matches r addr -> Some r
-          | Some _ | None -> best
+    match deciding t.regions addr (region_count - 1) with
+    | -1 ->
+      (* PRIVDEFENA: the background map serves privileged code only *)
+      if privileged then Ok () else Error { Fault.addr; access; privileged }
+    | n -> (
+      match t.regions.(n) with
+      | None -> assert false
+      | Some r ->
+        let perm = if privileged then r.privileged else r.unprivileged in
+        let allowed =
+          match access with
+          | Execute -> r.executable && perm_allows perm Fault.Read
+          | Read | Write -> perm_allows perm access
         in
-        highest (n + 1) best
-    in
-    match highest 0 None with
+        if allowed then Ok () else Error { Fault.addr; access; privileged })
+
+(* The window [lo, hi) around [addr] in which the same region (or the
+   background map) decides every access, so every address in it gets
+   [addr]'s [check] outcome for any privilege and access kind.  It is
+   the deciding region's extent, or its enabled sub-region when SRD
+   applies, clipped so that no higher-numbered region matches inside:
+   a higher region that does not match [addr] either lies wholly on one
+   side of it or holds it in a disabled sub-region. *)
+let window t ~addr =
+  if not t.enabled then (min_int, max_int)
+  else
+    let n = deciding t.regions addr (region_count - 1) in
+    let lo = ref min_int and hi = ref max_int in
+    (match if n < 0 then None else t.regions.(n) with
+    | None -> ()
     | Some r ->
-      let perm = if privileged then r.privileged else r.unprivileged in
-      let allowed =
-        match access with
-        | Execute -> r.executable && perm_allows perm Fault.Read
-        | Read | Write -> perm_allows perm access
-      in
-      if allowed then Ok () else Error { Fault.addr; access; privileged }
-    | None ->
-      (* PRIVDEFENA behaviour: background map for privileged code only. *)
-      if privileged && access <> Fault.Execute then Ok ()
-      else if privileged then Ok () (* privileged execute uses default map *)
-      else Error { Fault.addr; access; privileged }
+      let size = 1 lsl r.size_log2 in
+      if r.size_log2 < subregion_min_log2 || r.srd = 0 then (
+        lo := r.base;
+        hi := r.base + size)
+      else
+        let sub = size / 8 in
+        lo := r.base + ((addr - r.base) / sub * sub);
+        hi := !lo + sub);
+    for m = n + 1 to region_count - 1 do
+      match t.regions.(m) with
+      | None -> ()
+      | Some r ->
+        let size = 1 lsl r.size_log2 in
+        let limit = r.base + size in
+        if limit <= addr then lo := max !lo limit
+        else if r.base > addr then hi := min !hi r.base
+        else
+          let sub = size / 8 in
+          let s = r.base + ((addr - r.base) / sub * sub) in
+          lo := max !lo s;
+          hi := min !hi (s + sub)
+    done;
+    (!lo, !hi)
 
 let pp_perm fmt p =
   Fmt.string fmt

@@ -17,7 +17,17 @@ type region = {
   executable : bool;
 }
 
-type t = { mutable enabled : bool; regions : region option array }
+(** The 8 region slots, written only through {!set} and {!clear}. *)
+type slots
+
+(** MPU state.  Private, and its slots abstract, so that every write
+    goes through a setter below; every setter bumps [gen], so a
+    permission decision cached under an older [gen] is stale. *)
+type t = private {
+  mutable enabled : bool;
+  regions : slots;
+  mutable gen : int;
+}
 
 exception Invalid_region of string
 
@@ -66,6 +76,13 @@ val perm_allows : perm -> Fault.access -> bool
 val check :
   t -> privileged:bool -> addr:int -> access:Fault.access ->
   (unit, Fault.info) result
+
+(** [window t ~addr] is the [\[lo, hi)] around [addr] in which the
+    region deciding [addr] (or the background map) decides every
+    address: the deciding region or sub-region, clipped by
+    higher-numbered regions.  Every address in it gets [addr]'s {!check}
+    outcome, whatever the privilege and access kind. *)
+val window : t -> addr:int -> int * int
 
 val pp_perm : Format.formatter -> perm -> unit
 val pp_region : Format.formatter -> region -> unit

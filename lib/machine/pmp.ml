@@ -23,7 +23,13 @@ type entry = {
   locked : bool;  (** enforced even on privileged (machine-mode) accesses *)
 }
 
-type t = { entries : entry array; mutable enforcing : bool }
+type slots = entry array
+
+type t = {
+  entries : slots;
+  mutable enforcing : bool;
+  mutable gen : int;  (** bumped by every setter *)
+}
 
 exception Invalid_entry of string
 
@@ -33,7 +39,8 @@ let create () =
   { entries =
       Array.make entry_count
         { mode = Off; r = false; w = false; x = false; locked = false };
-    enforcing = false }
+    enforcing = false;
+    gen = 0 }
 
 let napot ?(locked = false) ~base ~size_log2 ~r ~w ~x () =
   if size_log2 < 3 || size_log2 > 32 then
@@ -51,10 +58,14 @@ let tor ?(locked = false) ~base ~limit ~r ~w ~x () =
 let set t i e =
   if i < 0 || i >= entry_count then
     raise (Invalid_entry (Printf.sprintf "entry number %d" i));
-  t.entries.(i) <- e
+  t.entries.(i) <- e;
+  t.gen <- t.gen + 1
 
 let get t i = t.entries.(i)
-let enable t = t.enforcing <- true
+
+let enable t =
+  t.enforcing <- true;
+  t.gen <- t.gen + 1
 
 let matches e addr =
   match e.mode with
@@ -69,24 +80,56 @@ let entry_allows e (access : Fault.access) =
   | Fault.Write -> e.w
   | Fault.Execute -> e.x
 
+(* The lowest-numbered entry at or above [i] that matches [addr], or
+   -1: a top-level loop, so the allow path of [check] allocates
+   nothing. *)
+let rec deciding entries addr i =
+  if i >= entry_count then -1
+  else if matches (Array.unsafe_get entries i) addr then i
+  else deciding entries addr (i + 1)
+
 (* Check one access: the lowest-numbered matching entry decides.
    Machine-mode accesses pass unless the deciding entry is locked; with
-   no match, machine mode passes and lower privileges fault. *)
+   no match, machine mode passes and lower privileges fault.  The info
+   record is only built on the fault paths. *)
 let check t ~privileged ~addr ~(access : Fault.access) =
-  let info = { Fault.addr; access; privileged } in
   if not t.enforcing then Ok ()
   else
-    let rec first i =
-      if i >= entry_count then None
-      else if matches t.entries.(i) addr then Some t.entries.(i)
-      else first (i + 1)
+    match deciding t.entries addr 0 with
+    | -1 -> if privileged then Ok () else Error { Fault.addr; access; privileged }
+    | i ->
+      let e = t.entries.(i) in
+      if (privileged && not e.locked) || entry_allows e access then Ok ()
+      else Error { Fault.addr; access; privileged }
+
+(* The window [lo, hi) around [addr] in which the same entry (or the
+   no-match default) decides every access: the deciding entry's range,
+   clipped so that no lower-numbered entry matches inside it.  A lower
+   entry does not match [addr], so it lies wholly on one side. *)
+let window t ~addr =
+  if not t.enforcing then (min_int, max_int)
+  else
+    let i = deciding t.entries addr 0 in
+    let lo = ref min_int and hi = ref max_int in
+    let extent e =
+      match e.mode with
+      | Off -> None
+      | Napot { base; size_log2 } -> Some (base, base + (1 lsl size_log2))
+      | Tor { base; limit } -> Some (base, limit)
     in
-    match first 0 with
-    | Some e ->
-      if privileged && not e.locked then Ok ()
-      else if entry_allows e access then Ok ()
-      else Error info
-    | None -> if privileged then Ok () else Error info
+    (if i >= 0 then
+       match extent t.entries.(i) with
+       | Some (b, l) ->
+         lo := b;
+         hi := l
+       | None -> ());
+    for j = 0 to (if i < 0 then entry_count else i) - 1 do
+      match extent t.entries.(j) with
+      | None -> ()
+      | Some (b, l) ->
+        if l <= addr then lo := max !lo l else if b > addr then hi := min !hi b
+    done;
+    (!lo, !hi)
 
 let pp_entry fmt e =
   let perms =

@@ -18,7 +18,16 @@ type entry = {
   locked : bool;  (** enforced even on machine-mode accesses *)
 }
 
-type t = { entries : entry array; mutable enforcing : bool }
+(** The 16 entries, written only through {!set}. *)
+type slots
+
+(** PMP state.  Private, and its entries abstract, so that every write
+    goes through a setter below; every setter bumps [gen]. *)
+type t = private {
+  entries : slots;
+  mutable enforcing : bool;
+  mutable gen : int;
+}
 
 exception Invalid_entry of string
 
@@ -47,5 +56,11 @@ val entry_allows : entry -> Fault.access -> bool
 val check :
   t -> privileged:bool -> addr:int -> access:Fault.access ->
   (unit, Fault.info) result
+
+(** [window t ~addr] is the [\[lo, hi)] around [addr] in which the
+    entry deciding [addr] decides every address: the lowest matching
+    entry's range clipped by lower-numbered entries.  Every address in
+    it gets [addr]'s {!check} outcome. *)
+val window : t -> addr:int -> int * int
 
 val pp_entry : Format.formatter -> entry -> unit

@@ -25,11 +25,14 @@ type overlay = {
   mutable ov_key : int;  (** 0..key_count-1, or {!no_key} *)
 }
 
+type 'a keys = 'a array
+
 type t = {
   mutable overlays : overlay list;  (** first match wins *)
-  por : perm array;  (** per-key unprivileged data permission *)
-  por_x : bool array;  (** per-key unprivileged execute permission *)
+  por : perm keys;  (** per-key unprivileged data permission *)
+  por_x : bool keys;  (** per-key unprivileged execute permission *)
   mutable enforcing : bool;
+  mutable gen : int;  (** bumped by every setter, retags included *)
 }
 
 exception Invalid_overlay of string
@@ -46,7 +49,8 @@ let create () =
   { overlays = [];
     por = Array.make key_count No_access;
     por_x = Array.make key_count false;
-    enforcing = false }
+    enforcing = false;
+    gen = 0 }
 
 let overlay ?(key = no_key) ~base ~limit () =
   if limit <= base then raise (Invalid_overlay "empty overlay window");
@@ -59,20 +63,29 @@ let overlay ?(key = no_key) ~base ~limit () =
     raise (Invalid_overlay (Printf.sprintf "key %d out of range" key));
   { ov_base = base; ov_limit = limit; ov_key = key }
 
+let bump t = t.gen <- t.gen + 1
+
 let clear t =
   t.overlays <- [];
   Array.fill t.por 0 key_count No_access;
-  Array.fill t.por_x 0 key_count false
+  Array.fill t.por_x 0 key_count false;
+  bump t
 
-let add t ov = t.overlays <- t.overlays @ [ ov ]
+let add t ov =
+  t.overlays <- t.overlays @ [ ov ];
+  bump t
 
 let set_key t key ?(x = false) perm =
   if key < 0 || key >= key_count then
     raise (Invalid_overlay (Printf.sprintf "key %d out of range" key));
   t.por.(key) <- perm;
-  t.por_x.(key) <- x
+  t.por_x.(key) <- x;
+  bump t
 
-let enable t = t.enforcing <- true
+let enable t =
+  t.enforcing <- true;
+  bump t
+
 let overlays t = t.overlays
 
 let find t addr =
@@ -87,7 +100,16 @@ let reclaim_key t key =
     List.filter (fun ov -> ov.ov_key = key) t.overlays
   in
   List.iter (fun ov -> ov.ov_key <- no_key) victims;
+  bump t;
   victims
+
+(* Tag window [ov] of [t] with [key] — the grant half of key
+   recycling. *)
+let retag t ov key =
+  if key <> no_key && (key < 0 || key >= key_count) then
+    raise (Invalid_overlay (Printf.sprintf "key %d out of range" key));
+  ov.ov_key <- key;
+  bump t
 
 let perm_allows perm (access : Fault.access) =
   match (perm, access) with
@@ -97,26 +119,48 @@ let perm_allows perm (access : Fault.access) =
   | No_access, (Fault.Read | Fault.Write) -> false
   | _, Fault.Execute -> perm <> No_access
 
+(* Does the first overlay in [ovs] covering [addr] let the
+   unprivileged level perform [access]?  A top-level loop, so the allow
+   path of [check] allocates nothing. *)
+let rec decides t ovs addr (access : Fault.access) =
+  match ovs with
+  | [] -> false
+  | ov :: rest ->
+    if addr >= ov.ov_base && addr < ov.ov_limit then
+      ov.ov_key <> no_key
+      &&
+      let perm = t.por.(ov.ov_key) in
+      match access with
+      | Fault.Execute -> t.por_x.(ov.ov_key) && perm_allows perm Fault.Read
+      | Fault.Read | Fault.Write -> perm_allows perm access
+    else decides t rest addr access
+
 (* Check one access: the first overlay covering the address decides via
    its key's POR entry; a keyless window (or no window at all) faults at
-   the unprivileged level.  Privileged accesses bypass overlays. *)
+   the unprivileged level.  Privileged accesses bypass overlays.  The
+   info record is only built on the fault path. *)
 let check t ~privileged ~addr ~(access : Fault.access) =
-  let info = { Fault.addr; access; privileged } in
-  if not t.enforcing then Ok ()
-  else if privileged then Ok ()
+  if (not t.enforcing) || privileged || decides t t.overlays addr access then
+    Ok ()
+  else Error { Fault.addr; access; privileged }
+
+(* The window [lo, hi) around [addr] in which the same overlay (or the
+   privileged bypass) decides every access: the first covering
+   overlay, clipped so that no earlier overlay covers any of it.  An
+   earlier overlay does not cover [addr], so it lies wholly on one
+   side. *)
+let window t ~privileged ~addr =
+  if (not t.enforcing) || privileged then (min_int, max_int)
   else
-    match find t addr with
-    | None -> Error info
-    | Some ov ->
-      if ov.ov_key = no_key then Error info
-      else
-        let perm = t.por.(ov.ov_key) in
-        let allowed =
-          match access with
-          | Fault.Execute -> t.por_x.(ov.ov_key) && perm_allows perm Fault.Read
-          | Fault.Read | Fault.Write -> perm_allows perm access
-        in
-        if allowed then Ok () else Error info
+    let rec go lo hi = function
+      | [] -> (lo, hi)
+      | ov :: rest ->
+        if addr >= ov.ov_base && addr < ov.ov_limit then
+          (max lo ov.ov_base, min hi ov.ov_limit)
+        else if ov.ov_limit <= addr then go (max lo ov.ov_limit) hi rest
+        else go lo (min hi ov.ov_base) rest
+    in
+    go min_int max_int t.overlays
 
 let pp_perm fmt p =
   Fmt.string fmt

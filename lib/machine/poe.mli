@@ -4,17 +4,27 @@
 
 type perm = No_access | Read_only | Read_write
 
-type overlay = {
+(** A tagged window [\[ov_base, ov_limit)].  Private: its key changes
+    only through {!reclaim_key} and {!retag}, which bump the owning
+    state's [gen]. *)
+type overlay = private {
   ov_base : int;
   ov_limit : int;
   mutable ov_key : int;
 }
 
-type t = {
+(** Per-key registers, written only through {!set_key} and {!clear}. *)
+type 'a keys
+
+(** The overlay list, the per-key permission registers and the
+    enforcing bit.  Private, and its registers abstract, so that every
+    write goes through a setter below; every setter bumps [gen]. *)
+type t = private {
   mutable overlays : overlay list;
-  por : perm array;
-  por_x : bool array;
+  por : perm keys;
+  por_x : bool keys;
   mutable enforcing : bool;
+  mutable gen : int;
 }
 
 exception Invalid_overlay of string
@@ -38,12 +48,24 @@ val find : t -> int -> overlay option
 val reclaim_key : t -> int -> overlay list
 (** Strip [key] from every window holding it; returns the victims. *)
 
+val retag : t -> overlay -> int -> unit
+(** [retag t ov key] tags [ov], a window of [t], with [key].
+    @raise Invalid_overlay on a key out of range. *)
+
+
 val check :
   t ->
   privileged:bool ->
   addr:int ->
   access:Fault.access ->
   (unit, Fault.info) result
+
+(** [window t ~privileged ~addr] is the [\[lo, hi)] around [addr] in
+    which the overlay deciding [addr] decides every address: the first
+    covering overlay clipped by earlier ones, or the whole space for
+    privileged code.  Every address in it gets [addr]'s {!check}
+    outcome. *)
+val window : t -> privileged:bool -> addr:int -> int * int
 
 val pp_overlay : Format.formatter -> overlay -> unit
 val pp : Format.formatter -> t -> unit

@@ -119,7 +119,7 @@ let virtualize st ~cpu ~(meta : C.Metadata.op_meta) ~virt_next ~addr =
       let victims =
         M.Cpu.with_privilege cpu (fun () ->
             let victims = M.Poe.reclaim_key poe key in
-            ov.M.Poe.ov_key <- key;
+            M.Poe.retag poe ov key;
             victims)
       in
       Some

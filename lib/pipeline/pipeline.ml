@@ -356,6 +356,17 @@ let baseline c =
   | A_baseline b -> b
   | _ -> assert false
 
+(* The plain baseline with the function trace off: the host-time
+   counterpart of {!protected_}, which runs untraced too.  Cycle counts
+   equal {!baseline}'s. *)
+let baseline_untraced c =
+  match
+    run_baseline_with c ~entries:[] ~traced:false ~mem:false
+      "baseline-untraced"
+  with
+  | A_baseline b -> b
+  | _ -> assert false
+
 (* The baseline traced at memory-access granularity — the lint oracle's
    raw material.  A separate stage from {!baseline}: access events are
    bulky (one per load/store), so the evaluation sweep never pays for
@@ -466,8 +477,8 @@ let protected_obs c =
 
 let stage_names =
   [ "validate"; "points-to"; "callgraph"; "resources"; "partition";
-    "syncsets"; "image"; "baseline"; "baseline-traced"; "baseline-marked";
-    "protected"; "protected-traced"; "protected-obs" ]
+    "syncsets"; "image"; "baseline"; "baseline-untraced"; "baseline-traced";
+    "baseline-marked"; "protected"; "protected-traced"; "protected-obs" ]
 
 let timings c = Mutex.protect c.lock (fun () -> c.timings)
 

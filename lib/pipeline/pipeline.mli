@@ -96,6 +96,11 @@ val aces : ctx -> Opec_aces.Strategy.kind -> Opec_aces.Aces.t
 (** The plain unprotected baseline (function-granularity trace). *)
 val baseline : ctx -> baseline
 
+(** The baseline with the function trace off, as in {!protected_}: the
+    run to compare with the protected one on host time.  Identical
+    cycle counts to {!baseline}. *)
+val baseline_untraced : ctx -> baseline
+
 (** The baseline traced at memory-access granularity — the lint
     oracle's raw material.  Identical cycle counts to {!baseline};
     kept as a separate stage because access events are bulky. *)

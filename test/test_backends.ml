@@ -123,7 +123,7 @@ let test_poe_key_recycling () =
   Alcotest.(check int) "reclaim strips exactly the key's windows" 1
     (List.length victims);
   (match M.Poe.find t (base_of M.Poe.key_count) with
-  | Some ov -> ov.M.Poe.ov_key <- 3
+  | Some ov -> M.Poe.retag t ov 3
   | None -> Alcotest.fail "keyless window vanished");
   Alcotest.(check int) "no window was evicted" n
     (List.length (M.Poe.overlays t));
@@ -183,6 +183,75 @@ let test_cross_backend_clean_runs () =
         (o.P.o_stats.Mon.Stats.switches > 0))
     M.Backend.all_kinds
 
+(* --- pinned model cycles and monitor statistics ---------------------------- *)
+
+(* Baseline and protected model cycles plus every [Stats] counter of the
+   seven paper workloads under all four backends, pinned exactly
+   against data/pinned_runs.json.  These numbers are deterministic, so
+   any change to them — a faster bus, a new cache, a refactor — must be
+   an explicit update of the reference file.  On a mismatch the current
+   table is written to pinned_runs.json.actual (next to the test
+   binary) so an intended change is regenerated by copying it over the
+   reference. *)
+let pinned_ref = "data/pinned_runs.json"
+
+let pinned_row (app : Apps.App.t) backend =
+  let c = P.ctx ~backend app in
+  let b = P.baseline (P.ctx app) in
+  let p = P.protected_ c in
+  P.reraise b.P.b_err;
+  P.reraise p.P.p_err;
+  let s = p.P.p_stats in
+  Printf.sprintf
+    "{\"app\": %S, \"backend\": %S, \"baseline_cycles\": %Ld, \
+     \"protected_cycles\": %Ld, \"switches\": %d, \"synced_bytes\": %d, \
+     \"relocated_bytes\": %d, \"virt_swaps\": %d, \"emulations\": %d, \
+     \"pointer_fixups\": %d, \"denied\": %d, \"checks\": %S}"
+    app.Apps.App.app_name (M.Backend.kind_name backend) b.P.b_cycles
+    p.P.p_cycles s.Mon.Stats.switches s.Mon.Stats.synced_bytes
+    s.Mon.Stats.relocated_bytes s.Mon.Stats.virt_swaps s.Mon.Stats.emulations
+    s.Mon.Stats.pointer_fixups s.Mon.Stats.denied
+    (match (b.P.b_check, p.P.p_check) with
+    | Ok (), Ok () -> "ok"
+    | Error e, _ -> "baseline: " ^ e
+    | Ok (), Error e -> "protected: " ^ e)
+
+let pinned_table () =
+  let rows =
+    List.concat_map
+      (fun app -> List.map (pinned_row app) M.Backend.all_kinds)
+      (Apps.Registry.all ())
+  in
+  "[\n" ^ String.concat ",\n" rows ^ "\n]\n"
+
+let test_pinned_runs () =
+  let read path =
+    let ic = open_in_bin path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    s
+  in
+  let actual = pinned_table () in
+  let expected = read pinned_ref in
+  if not (String.equal expected actual) then begin
+    let out = "pinned_runs.json.actual" in
+    let oc = open_out_bin out in
+    output_string oc actual;
+    close_out oc;
+    let el = String.split_on_char '\n' expected
+    and al = String.split_on_char '\n' actual in
+    let rec first_diff = function
+      | e :: es, a :: as_ -> if String.equal e a then first_diff (es, as_) else (e, a)
+      | e :: _, [] -> (e, "<missing>")
+      | [], a :: _ -> ("<missing>", a)
+      | [], [] -> ("", "")
+    in
+    let e, a = first_diff (el, al) in
+    Alcotest.failf "pinned runs differ from %s (current table in %s)\n  \
+                    expected: %s\n  actual:   %s"
+      pinned_ref out e a
+  end
+
 let suite () =
   [ ( "backends",
       [ Alcotest.test_case "region_fit alignment edges" `Quick
@@ -198,4 +267,6 @@ let suite () =
         Alcotest.test_case "MPU campaign bit-identity" `Slow
           test_mpu_campaign_bit_identity;
         Alcotest.test_case "clean runs across all backends" `Slow
-          test_cross_backend_clean_runs ] ) ]
+          test_cross_backend_clean_runs;
+        Alcotest.test_case "pinned cycles and stats, 7 apps x 4 backends"
+          `Slow test_pinned_runs ] ) ]

@@ -1,15 +1,13 @@
 (* Tests for the load-generator scenario suite: determinism of the
    scripted device drivers, the percentile estimator's contract, and
-   the tail-latency regression gate — a fixed 10k-event run whose p99
-   switch latency must stay inside a tolerance band around the
-   checked-in reference (mirroring the BENCH_obs_ref.json overhead
-   gate). *)
+   the tail-latency regression gate — a fixed 10k-event run whose
+   p50/p99/p999 switch latencies must equal the checked-in reference
+   exactly (mirroring the BENCH_obs_ref.json overhead gate). *)
 
 module L = Opec_load
 module Obs = Opec_obs
 
 let ref_file = "data/load_p99_ref.json"
-let tolerance = 0.25
 
 (* --- percentile estimator ------------------------------------------------ *)
 
@@ -156,29 +154,33 @@ let parse_ref path =
     let s = really_input_string ic n in
     close_in ic;
     let line = String.map (fun ch -> if ch = '\n' then ' ' else ch) s in
-    match (scan_field line "events", scan_field line "p99") with
-    | Some events, Some p99 -> Some (events, p99)
+    match
+      ( scan_field line "events", scan_field line "p50", scan_field line "p99",
+        scan_field line "p999" )
+    with
+    | Some events, Some p50, Some p99, Some p999 ->
+      Some (events, p50, p99, p999)
     | _ -> None
   end
 
 (* A deterministic 10k-event request-storm run under the default
-   backend, gated against the checked-in reference with a tolerance
-   band — switch-protocol regressions that fatten the tail fail here
-   before they reach the benchmark. *)
-let test_p99_reference () =
+   backend, gated exactly against the checked-in reference: the
+   scenario is scripted and its latencies are model cycles, so any
+   change to the event count or to p50/p99/p999 is a switch-protocol
+   change that must come with a regenerated reference. *)
+let test_percentiles_reference () =
   match parse_ref ref_file with
   | None -> Alcotest.failf "missing or unparseable %s" ref_file
-  | Some (ref_events, ref_p99) ->
+  | Some (ref_events, ref_p50, ref_p99, ref_p999) ->
     let r = L.Scenario.run ~target_events:10_000 L.Scenario.Request_storm in
     Alcotest.(check int) "event count is pinned" ref_events
       r.L.Scenario.r_events;
-    let p99 = Int64.to_float r.L.Scenario.r_p99 in
-    let hi = float_of_int ref_p99 *. (1.0 +. tolerance) in
-    (* the band is one-sided with a +1-cycle floor: faster is fine,
-       and at single-digit references a one-cycle wobble is noise *)
-    if p99 > Float.max (float_of_int (ref_p99 + 1)) hi then
-      Alcotest.failf "p99 switch latency %.0f exceeds reference %d by >%.0f%%"
-        p99 ref_p99 (tolerance *. 100.0)
+    Alcotest.(check int64) "p50 switch latency is pinned"
+      (Int64.of_int ref_p50) r.L.Scenario.r_p50;
+    Alcotest.(check int64) "p99 switch latency is pinned"
+      (Int64.of_int ref_p99) r.L.Scenario.r_p99;
+    Alcotest.(check int64) "p999 switch latency is pinned"
+      (Int64.of_int ref_p999) r.L.Scenario.r_p999
 
 let suite () =
   [ ( "load",
@@ -190,5 +192,5 @@ let suite () =
           test_run_deterministic;
         Alcotest.test_case "scenario output checks pass" `Quick
           test_checks_pass;
-        Alcotest.test_case "p99 stays inside the reference band" `Quick
-          test_p99_reference ] ) ]
+        Alcotest.test_case "latency percentiles equal the reference" `Quick
+          test_percentiles_reference ] ) ]
