@@ -34,6 +34,7 @@ module Mon = Opec_monitor
 module Apps = Opec_apps
 module Met = Opec_metrics
 module P = Opec_pipeline.Pipeline
+module Json = Opec_json.Json
 
 let find_app name =
   match Apps.Registry.find name (Apps.Registry.all ()) with
@@ -68,7 +69,7 @@ let seed_range_conv =
   let print f (lo, hi) = Format.fprintf f "%d..%d" lo hi in
   Arg.conv (parse, print)
 
-(* Interpreter-engine selection, shared by run and compare: all three
+(* Interpreter-engine selection, shared by run and compare: the two
    engines are observationally identical (the engine-differential
    oracle holds them to it), so this only trades translation time
    against run throughput. *)
@@ -76,18 +77,13 @@ let engine_conv =
   let parse s =
     match String.lowercase_ascii (String.trim s) with
     | "tree" -> Ok Opec_exec.Interp.Tree
-    | "decoded" -> Ok Opec_exec.Interp.Decoded
     | "compiled" -> Ok Opec_exec.Interp.Compiled
-    | _ ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown engine %S (tree, decoded, compiled)" s))
+    | _ -> Error (`Msg (Printf.sprintf "unknown engine %S (tree, compiled)" s))
   in
   let print f e =
     Format.pp_print_string f
       (match e with
       | Opec_exec.Interp.Tree -> "tree"
-      | Opec_exec.Interp.Decoded -> "decoded"
       | Opec_exec.Interp.Compiled -> "compiled")
   in
   Arg.conv (parse, print)
@@ -99,9 +95,8 @@ let engine_arg =
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Interpreter engine: $(b,compiled) (closure-compiled, the \
-           default), $(b,decoded) (decode-once), or $(b,tree) (the \
-           reference tree walker).  All three are bit-identical in \
-           every observable; they differ only in speed.")
+           default) or $(b,tree) (the reference tree walker).  Both are \
+           bit-identical in every observable; they differ only in speed.")
 
 (* Enforcement-backend selection, shared by run/trace/attack and the
    cross-backend study. *)
@@ -444,30 +439,33 @@ let syncsets_cmd =
         (Ss.ops ss)
     in
     if json then begin
-      let quote s = Printf.sprintf "%S" s in
-      let ops_json =
-        List.map
-          (fun (opn, slots, out, enter, relevant, ro, dead, bytes) ->
-            Printf.sprintf
-              {|{"op":%s,"slots":%d,"out":%d,"enter":%d,"relevant":%d,"ro":%d,"dead":%d,"bytes":%d}|}
-              (quote opn) slots out enter relevant ro dead bytes)
-          op_rows
-      in
-      let pairs_json =
-        List.map
-          (fun (src, dst, slots, bytes) ->
-            Printf.sprintf {|{"src":%s,"dst":%s,"slots":%d,"bytes":%d}|}
-              (quote src) (quote dst) slots bytes)
-          pair_rows
-      in
-      Format.printf
-        {|{"app":%s,"conservative_resume":%b,"escaped":[%s],"ops":[%s],"pairs":[%s],"schedule_bytes":%d}@.|}
-        (quote app.Apps.App.app_name)
-        (Ss.conservative_resume ss)
-        (String.concat "," (List.map quote (Ss.SS.elements (Ss.escaped ss))))
-        (String.concat "," ops_json)
-        (String.concat "," pairs_json)
-        image.C.Image.syncset_bytes
+      let int = Json.int and str s = Json.Str s in
+      Format.printf "%s@."
+        (Json.to_string
+           (Json.Obj
+              [ ("app", str app.Apps.App.app_name);
+                ("conservative_resume", Json.Bool (Ss.conservative_resume ss));
+                ( "escaped",
+                  Json.Arr (List.map str (Ss.SS.elements (Ss.escaped ss))) );
+                ( "ops",
+                  Json.Arr
+                    (List.map
+                       (fun (opn, slots, out, enter, relevant, ro, dead, bytes) ->
+                         Json.Obj
+                           [ ("op", str opn); ("slots", int slots);
+                             ("out", int out); ("enter", int enter);
+                             ("relevant", int relevant); ("ro", int ro);
+                             ("dead", int dead); ("bytes", int bytes) ])
+                       op_rows) );
+                ( "pairs",
+                  Json.Arr
+                    (List.map
+                       (fun (src, dst, slots, bytes) ->
+                         Json.Obj
+                           [ ("src", str src); ("dst", str dst);
+                             ("slots", int slots); ("bytes", int bytes) ])
+                       pair_rows) );
+                ("schedule_bytes", int image.C.Image.syncset_bytes) ]))
     end
     else begin
       Format.printf "== %s ==@." app.Apps.App.app_name;
@@ -552,8 +550,11 @@ let lint_cmd =
     in
     let diags = Opec_lint.Lint.run ~dynamic:all ?source image in
     if json then
-      Format.printf {|{"app":"%s","diagnostics":%s}@.|} app.Apps.App.app_name
-        (Opec_lint.Lint.to_json diags)
+      Format.printf "%s@."
+        (Json.to_string
+           (Json.Obj
+              [ ("app", Json.Str app.Apps.App.app_name);
+                ("diagnostics", Opec_lint.Lint.to_json diags) ]))
     else begin
       Format.printf "== %s ==@." app.Apps.App.app_name;
       Opec_lint.Lint.render ~all Format.std_formatter diags
@@ -787,7 +788,9 @@ let fuzz_cmd =
       value
       & opt (some file) None
       & info [ "replay" ] ~docv:"FILE"
-          ~doc:"Re-judge a saved reproducer instead of sweeping.")
+          ~doc:
+            "Re-judge a saved reproducer instead of sweeping.  A file that \
+             cannot be read or parsed exits 1 with the parse error.")
   in
   let out_dir =
     Arg.(
@@ -839,6 +842,11 @@ let fuzz_cmd =
     match replay with
     | Some path -> (
       match F.Runner.replay path with
+      | exception
+          ( Opec_ir.Sexp.Parse_error e
+          | Opec_ir.Program.Ill_formed e
+          | Sys_error e ) ->
+        exits_with_error (Printf.sprintf "cannot replay %s: %s" path e)
       | [] -> Format.printf "%s: failure no longer reproduces@." path
       | fails ->
         List.iter
@@ -885,7 +893,15 @@ let fuzz_cmd =
           differential properties: lint cleanliness, trace-oracle \
           inclusion, baseline/protected transparency, engine agreement, \
           and attack containment.  Failures are shrunk and written as \
-          replayable reproducers; exits nonzero if any seed fails.")
+          replayable reproducers; exits nonzero if any seed fails."
+       ~exits:
+         (Cmd.Exit.info 1
+            ~doc:
+              "when a seed, corpus input or mutant fails a property, when a \
+               $(b,--replay) reproducer still fails, or when the \
+               $(b,--replay) file cannot be read or parsed (the error, \
+               naming the file, goes to stderr)."
+         :: Cmd.Exit.defaults))
     Term.(
       const run $ seeds_arg $ size $ properties $ replay $ out_dir
       $ no_shrink $ domains $ corpus $ budget $ json)
@@ -949,7 +965,8 @@ let fleet_cmd =
       & info [ "json" ] ~docv:"OUT"
           ~doc:
             "Write the consolidated report as JSON to $(docv) ($(b,-) \
-             for stdout).  The report is byte-identical across -j.")
+             for stdout, in place of the text table).  The report is \
+             byte-identical across -j.")
   in
   let journal_out =
     Arg.(
@@ -993,7 +1010,8 @@ let fleet_cmd =
       match Fl.Fleet.run ?domains ~progress spec with
       | Error e -> exits_with_error e
       | Ok o ->
-        print_string (Fl.Fleet.report_text o);
+        (* [--json -] gives stdout to the JSON report alone *)
+        if json_out <> Some "-" then print_string (Fl.Fleet.report_text o);
         Format.eprintf "fleet: %d units on %d domains in %.2fs@."
           (List.length o.Fl.Fleet.o_units) o.Fl.Fleet.o_domains
           o.Fl.Fleet.o_wall_s;
@@ -1071,7 +1089,9 @@ let load_cmd =
       in
       List.iter
         (fun r ->
-          if json then print_endline (L.Scenario.result_json r)
+          if json then
+            print_endline
+              (Json.to_string ~layout:Json.Spaced (L.Scenario.result_json r))
           else Format.printf "%a@.@." L.Scenario.pp_result r)
         results;
       if

@@ -163,39 +163,49 @@ let render t =
 
 (* --- JSON ---------------------------------------------------------------- *)
 
+module Json = Opec_json.Json
+
 let row_json (r : row) =
   let bd = r.r_breakdown in
+  let i64 = Json.int64 and int = Json.int in
   let escaped =
     List.length
       (List.filter
          (fun (c : Campaign.cell) -> c.Campaign.outcome = Campaign.Escaped)
          r.r_cells)
   in
-  Printf.sprintf
-    {|{"backend":"%s","cells":[%s],"escaped":%d,"denied":%d,"base_cycles":%Ld,"prot_cycles":%Ld,"overhead_cycles":%Ld,"sanitize":%Ld,"sync":%Ld,"relocate":%Ld,"init":%Ld,"svc":%Ld,"other":%Ld,"switches":%d,"swaps":%d,"emulations":%d,"synced_bytes":%d,"flash_used":%d,"sram_used":%d}|}
-    (M.Backend.kind_name r.r_backend)
-    (String.concat "," (List.map Report.cell_json r.r_cells))
-    escaped r.r_denied bd.Met.Overhead.bd_base_cycles
-    bd.Met.Overhead.bd_prot_cycles bd.Met.Overhead.bd_overhead_cycles
-    bd.Met.Overhead.bd_sanitize bd.Met.Overhead.bd_sync
-    bd.Met.Overhead.bd_relocate bd.Met.Overhead.bd_init
-    bd.Met.Overhead.bd_svc bd.Met.Overhead.bd_other
-    bd.Met.Overhead.bd_switches bd.Met.Overhead.bd_swaps
-    bd.Met.Overhead.bd_emulations bd.Met.Overhead.bd_synced_bytes
-    r.r_flash_used r.r_sram_used
+  Json.Obj
+    [ ("backend", Json.Str (M.Backend.kind_name r.r_backend));
+      ("cells", Json.Arr (List.map Report.cell_json r.r_cells));
+      ("escaped", int escaped); ("denied", int r.r_denied);
+      ("base_cycles", i64 bd.Met.Overhead.bd_base_cycles);
+      ("prot_cycles", i64 bd.Met.Overhead.bd_prot_cycles);
+      ("overhead_cycles", i64 bd.Met.Overhead.bd_overhead_cycles);
+      ("sanitize", i64 bd.Met.Overhead.bd_sanitize);
+      ("sync", i64 bd.Met.Overhead.bd_sync);
+      ("relocate", i64 bd.Met.Overhead.bd_relocate);
+      ("init", i64 bd.Met.Overhead.bd_init);
+      ("svc", i64 bd.Met.Overhead.bd_svc);
+      ("other", i64 bd.Met.Overhead.bd_other);
+      ("switches", int bd.Met.Overhead.bd_switches);
+      ("swaps", int bd.Met.Overhead.bd_swaps);
+      ("emulations", int bd.Met.Overhead.bd_emulations);
+      ("synced_bytes", int bd.Met.Overhead.bd_synced_bytes);
+      ("flash_used", int r.r_flash_used); ("sram_used", int r.r_sram_used) ]
 
 let to_json t =
-  let apps =
-    List.map
-      (fun app ->
-        Printf.sprintf {|{"app":"%s","results":[%s]}|}
-          (Report.json_escape app)
-          (String.concat "," (List.map row_json (rows_of t ~app))))
-      (apps_of t)
-  in
-  Printf.sprintf {|{"backends":[%s],"apps":[%s]}|}
-    (String.concat ","
-       (List.map
-          (fun k -> "\"" ^ M.Backend.kind_name k ^ "\"")
-          t.backends))
-    (String.concat "," apps)
+  Json.to_string
+    (Json.Obj
+       [ ( "backends",
+           Json.Arr
+             (List.map (fun k -> Json.Str (M.Backend.kind_name k)) t.backends)
+         );
+         ( "apps",
+           Json.Arr
+             (List.map
+                (fun app ->
+                  Json.Obj
+                    [ ("app", Json.Str app);
+                      ("results", Json.Arr (List.map row_json (rows_of t ~app)))
+                    ])
+                (apps_of t)) ) ])

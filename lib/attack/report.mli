@@ -12,8 +12,6 @@ val summary : Campaign.matrix list -> string
 (** The whole campaign as one JSON document (stable field order). *)
 val to_json : Campaign.matrix list -> string
 
-(** JSON string escaping / one cell object — shared with the
-    cross-backend study's exporter. *)
-val json_escape : string -> string
-
-val cell_json : Campaign.cell -> string
+(** One cell as a JSON object — shared with the cross-backend study's
+    exporter. *)
+val cell_json : Campaign.cell -> Opec_json.Json.t

@@ -15,33 +15,29 @@
    the entry with the arguments the handler returned; a second trap fires
    when the entry returns.
 
-   Three execution engines share the machine-facing plumbing:
+   Two execution engines share the machine-facing plumbing:
 
    - [Tree] walks the IR directly: a string-keyed hashtable environment
      per activation and a recursive [eval] dispatch per expression node.
      It is the reference semantics.
-   - [Decoded] decodes each function once at image-load time: locals
-     are resolved to integer slots in a flat frame array and every
-     instruction and expression is compiled to a closure, so the hot
-     path performs no string hashing and no per-node match dispatch.
-   - [Compiled] (the default) goes one rung further: each function body
-     is translated once into a tree of OCaml closures with no opcode
-     dispatch at all — constants folded and local slots bound into the
-     closures themselves, runs of pure instructions fused into
-     superblocks with one fuel/cycle charge per block, direct-call
-     targets bound to the callee's compiled code at translation time,
-     and load/store fast paths that skip the bus's address decode when
-     the target region is statically known.  See the compiled-engine
-     section below for the design.
+   - [Compiled] (the default) translates each function body once, at
+     image-load time, into a tree of OCaml closures with no opcode
+     dispatch at all — locals resolved to slots in a flat frame array,
+     constants folded and slots bound into the closures themselves, runs
+     of pure instructions fused into superblocks with one fuel/cycle
+     charge per block, direct-call targets bound to the callee's
+     compiled code at translation time, and load/store fast paths that
+     skip the bus's address decode when the target region is statically
+     known.  See the compiled-engine section below for the design.
 
    Cycle accounting is identical bit-for-bit between the engines at
    every observable point — bus accesses, operation switches, SVCs, and
    run completion — so every overhead ratio the evaluation reports is
-   unchanged by the engine choice.  (The decoded and compiled engines
-   batch expression-node cycles up front; see [decode] for the argument
-   and for the one divergence window, aborts inside an expression.)
-   The differential tests replay whole workloads under all engines and
-   assert equal traces, cycles, and memory. *)
+   unchanged by the engine choice.  (The compiled engine batches
+   expression-node cycles up front; see the compiled-engine section for
+   the argument and for the one divergence window, aborts inside an
+   expression.)  The differential tests replay whole workloads under
+   both engines and assert equal traces, cycles, and memory. *)
 
 open Opec_ir
 module M = Opec_machine
@@ -76,28 +72,21 @@ let abort_handler =
       (fun _ info -> Bus_abort (Fmt.str "BusFault: %a" M.Fault.pp_info info));
     on_svc = (fun _ -> ()) }
 
-type engine = Tree | Decoded | Compiled
+type engine = Tree | Compiled
 
-(* A decoded activation record: locals live in [regs] at slots assigned
-   at decode time; [def] tracks which slots have been written, so a read
-   of a never-assigned local raises the same usage fault the tree
-   engine's hashtable miss does.  The compiled engine reuses the record;
-   functions whose locals are all definitely assigned skip the [def]
-   bookkeeping and share one empty byte string. *)
+(* A compiled activation record: locals live in [regs] at slots assigned
+   at translation time; [def] tracks which slots have been written, so a
+   read of a never-assigned local raises the same usage fault the tree
+   engine's hashtable miss does.  Functions whose locals are all
+   definitely assigned skip the [def] bookkeeping and share one empty
+   byte string. *)
 type frame = { regs : int64 array; def : Bytes.t }
-
-type dfunc = {
-  df_func : Func.t;
-  df_nslots : int;
-  df_nparams : int;
-  df_body : (frame -> unit) array;
-}
 
 (* A closure-compiled function.  [cf_entry] runs a fresh activation to
    completion and produces the return value (functions whose only
    [Return] is in tail position return it directly, with no exception);
-   [cf_checked] keeps the decoded engine's def-tracked frames for the
-   rare function where some local read is not definitely assigned.
+   [cf_checked] keeps def-tracked frames for the rare function where
+   some local read is not definitely assigned.
    Fields are mutable because translation is two-phase: records for
    every function exist before bodies compile, so direct call sites
    bind their callee's record — not a name — into the call closure. *)
@@ -121,7 +110,6 @@ type t = {
   mutable depth : int;
   max_depth : int;
   engine : engine;
-  dfuncs : (string, dfunc) Hashtbl.t;  (** decoded code, [Decoded] only *)
   cfuncs : (string, cfunc) Hashtbl.t;  (** compiled code, [Compiled] only *)
   (* switch bookkeeping for metrics: counts completed SVC transitions,
      both traps — one on entry, one on exit — matching the monitor's
@@ -495,398 +483,6 @@ and spill t (argv : int64 array) =
     done
   end
 
-(* --- decoded engine ----------------------------------------------------- *)
-
-(* A call target resolved once: the decoded code, the code address for
-   the execute check, and whether the callee is an operation entry.
-   Direct calls cache this in the call site's closure after the first
-   call, so the hot path performs no string hashing at all. *)
-type dtarget = {
-  dt_func : dfunc;
-  dt_addr : int;
-  dt_entry : bool;
-}
-
-(* Calls between decoded functions: same protocol as the tree engine but
-   over decoded activation frames; argument vectors are already arrays. *)
-let rec dresolve t fname =
-  match Hashtbl.find_opt t.dfuncs fname with
-  | None -> raise (Aborted ("call to undefined function " ^ fname))
-  | Some df ->
-    { dt_func = df;
-      dt_addr = t.map.Address_map.func_addr fname;
-      dt_entry = Hashtbl.mem t.entries fname }
-
-and dcall_target t dt (argv : int64 array) =
-  (try M.Bus.check_execute t.bus dt.dt_addr
-   with
-  | M.Fault.Mem_manage info | M.Fault.Bus info ->
-    raise
-      (Aborted
-         (Fmt.str "execute fault entering %s: %a" dt.dt_func.df_func.Func.name
-            M.Fault.pp_info info)));
-  if t.depth >= t.max_depth then raise (Aborted "call depth exceeded");
-  if dt.dt_entry then dcall_operation t dt.dt_func argv
-  else dcall_plain t dt.dt_func argv
-
-and dcall t fname (argv : int64 array) = dcall_target t (dresolve t fname) argv
-
-and dframe df (argv : int64 array) =
-  let fr =
-    { regs = Array.make df.df_nslots 0L; def = Bytes.make df.df_nslots '\000' }
-  in
-  let n = Array.length argv in
-  for i = 0 to df.df_nparams - 1 do
-    fr.regs.(i) <- (if i < n then argv.(i) else 0L);
-    Bytes.unsafe_set fr.def i '\001'
-  done;
-  fr
-
-and dexec_body body fr =
-  let n = Array.length (body : (frame -> unit) array) in
-  for i = 0 to n - 1 do (Array.unsafe_get body i) fr done
-
-and dcall_plain t df (argv : int64 array) =
-  let c = cpu t in
-  let saved_sp = c.M.Cpu.sp in
-  spill t argv;
-  M.Cpu.charge c 2;
-  Trace.record t.trace (Trace.Call df.df_func.Func.name);
-  t.depth <- t.depth + 1;
-  let fr = dframe df argv in
-  let ret =
-    match dexec_body df.df_body fr with
-    | () -> 0L
-    | exception Returning v -> v
-  in
-  t.depth <- t.depth - 1;
-  Trace.record t.trace (Trace.Return df.df_func.Func.name);
-  c.M.Cpu.sp <- saved_sp;
-  ret
-
-and dcall_operation t df (argv : int64 array) =
-  let c = cpu t in
-  let saved_sp = c.M.Cpu.sp in
-  M.Cpu.charge c 4 (* SVC entry/exit pipeline cost *);
-  let f = df.df_func in
-  let argv' =
-    M.Cpu.with_privilege c (fun () -> t.handler.on_operation_enter ~entry:f ~args:argv)
-  in
-  svc_mark t Obs.Sink.Enter f.Func.name;
-  Trace.record t.trace (Trace.Op_enter f.Func.name);
-  t.depth <- t.depth + 1;
-  let fr = dframe df argv' in
-  let finish () =
-    M.Cpu.charge c 4;
-    M.Cpu.with_privilege c (fun () -> t.handler.on_operation_exit ~entry:f);
-    (* exit trap counts too; see [call_operation] *)
-    svc_mark t Obs.Sink.Exit f.Func.name;
-    t.depth <- t.depth - 1;
-    Trace.record t.trace (Trace.Op_exit f.Func.name);
-    c.M.Cpu.sp <- saved_sp
-  in
-  match dexec_body df.df_body fr with
-  | () -> finish (); 0L
-  | exception Returning v -> finish (); v
-  | exception e -> finish (); raise e
-
-(* Decode one function: assign every local name a slot (parameters
-   first, then names in order of appearance) and compile the body to
-   closures.
-
-   Cycle accounting is batched: expression closures themselves charge
-   nothing; each instruction closure charges, up front, the one cycle
-   the tree walker's dispatch charges plus one cycle per expression node
-   the instruction is about to evaluate.  Expressions never touch the
-   bus (loads are instructions), so at every observable point — a bus
-   access, an operation switch, an SVC — the cumulative count is
-   bit-identical to the tree engine's node-by-node charging.  The only
-   divergence window is a run aborting *inside* an expression (division
-   by zero, read of a never-assigned local): the batched count is then
-   ahead by the nodes that never evaluated.  Such a run dies on the
-   spot, and no evaluation artifact compares cycle counts of aborted
-   runs across engines.
-
-   Direct call sites resolve their target (decoded code, code address,
-   entry bit) once, on first execution, and cache it in the closure —
-   no string hashing on the call hot path. *)
-let decode t (f : Func.t) : dfunc =
-  let c = cpu t in
-  let slots = Hashtbl.create 16 in
-  let nslots = ref 0 in
-  let slot x =
-    match Hashtbl.find_opt slots x with
-    | Some i -> i
-    | None ->
-      let i = !nslots in
-      incr nslots;
-      Hashtbl.add slots x i;
-      i
-  in
-  List.iter (fun (x, _ty) -> ignore (slot x)) f.Func.params;
-  (* [dexpr e] is the uncharged evaluation closure and the node count
-     of [e] — the cycles its evaluation owes, charged by the enclosing
-     instruction. *)
-  let rec dexpr (e : Expr.t) : (frame -> int64) * int =
-    match e with
-    | Expr.Const n -> ((fun _fr -> n), 1)
-    | Expr.Local x ->
-      let i = slot x in
-      ( (fun fr ->
-          if Bytes.unsafe_get fr.def i = '\000' then
-            raise
-              (M.Fault.Usage (Printf.sprintf "use of undefined local %s" x))
-          else Array.unsafe_get fr.regs i),
-        1 )
-    | Expr.Global_addr g -> (
-      (* resolve at decode time when possible; an unknown name keeps
-         the tree engine's fault-at-evaluation behaviour *)
-      match Int64.of_int (t.map.Address_map.global_addr g) with
-      | addr -> ((fun _fr -> addr), 1)
-      | exception _ ->
-        ((fun _fr -> Int64.of_int (t.map.Address_map.global_addr g)), 1))
-    | Expr.Func_addr fn -> (
-      match Int64.of_int (t.map.Address_map.func_addr fn) with
-      | addr -> ((fun _fr -> addr), 1)
-      | exception _ ->
-        ((fun _fr -> Int64.of_int (t.map.Address_map.func_addr fn)), 1))
-    | Expr.Un (Expr.Neg, a) ->
-      let ka, wa = dexpr a in
-      ((fun fr -> Int64.neg (ka fr)), wa + 1)
-    | Expr.Un (Expr.Not, a) ->
-      let ka, wa = dexpr a in
-      ((fun fr -> Int64.lognot (ka fr)), wa + 1)
-    | Expr.Bin (op, a, b) ->
-      let ka, wa = dexpr a in
-      let kb, wb = dexpr b in
-      let w = wa + wb + 1 in
-      (* specialize the operator at decode time: no dispatch and no
-         option allocation per evaluation *)
-      let k =
-        match op with
-        | Expr.Add -> fun fr -> Int64.add (ka fr) (kb fr)
-        | Expr.Sub -> fun fr -> Int64.sub (ka fr) (kb fr)
-        | Expr.Mul -> fun fr -> Int64.mul (ka fr) (kb fr)
-        | Expr.Div ->
-          fun fr ->
-            let va = ka fr in
-            let vb = kb fr in
-            if Int64.equal vb 0L then
-              raise (M.Fault.Usage "division by zero")
-            else Int64.div va vb
-        | Expr.Rem ->
-          fun fr ->
-            let va = ka fr in
-            let vb = kb fr in
-            if Int64.equal vb 0L then
-              raise (M.Fault.Usage "division by zero")
-            else Int64.rem va vb
-        | Expr.And -> fun fr -> Int64.logand (ka fr) (kb fr)
-        | Expr.Or -> fun fr -> Int64.logor (ka fr) (kb fr)
-        | Expr.Xor -> fun fr -> Int64.logxor (ka fr) (kb fr)
-        | Expr.Shl ->
-          fun fr ->
-            let va = ka fr in
-            let vb = kb fr in
-            Int64.shift_left va (Int64.to_int vb land 63)
-        | Expr.Shr ->
-          fun fr ->
-            let va = ka fr in
-            let vb = kb fr in
-            Int64.shift_right_logical va (Int64.to_int vb land 63)
-        | Expr.Eq -> fun fr -> if Int64.equal (ka fr) (kb fr) then 1L else 0L
-        | Expr.Ne ->
-          fun fr -> if Int64.equal (ka fr) (kb fr) then 0L else 1L
-        | Expr.Lt ->
-          fun fr -> if Int64.compare (ka fr) (kb fr) < 0 then 1L else 0L
-        | Expr.Le ->
-          fun fr -> if Int64.compare (ka fr) (kb fr) <= 0 then 1L else 0L
-        | Expr.Gt ->
-          fun fr -> if Int64.compare (ka fr) (kb fr) > 0 then 1L else 0L
-        | Expr.Ge ->
-          fun fr -> if Int64.compare (ka fr) (kb fr) >= 0 then 1L else 0L
-      in
-      (k, w)
-  in
-  let set fr i v =
-    Array.unsafe_set fr.regs i v;
-    Bytes.unsafe_set fr.def i '\001'
-  in
-  (* the per-instruction prologue: the tree walker's fuel/dispatch cost
-     plus the batched cycles of the instruction's expressions *)
-  let pre w =
-    if t.fuel <= 0 then raise Fuel_exhausted;
-    t.fuel <- t.fuel - 1;
-    M.Cpu.charge c w
-  in
-  let rec dinstr (instr : Instr.t) : frame -> unit =
-    match instr with
-    | Instr.Nop -> fun _fr -> pre 1
-    | Instr.Let (x, e) ->
-      let i = slot x in
-      let ke, we = dexpr e in
-      let w = we + 1 in
-      fun fr -> pre w; set fr i (ke fr)
-    | Instr.Load (x, w, a) ->
-      let i = slot x in
-      let ka, wa = dexpr a in
-      let width = Instr.width_bytes w in
-      let w = wa + 1 in
-      fun fr ->
-        pre w;
-        let addr = Int64.to_int (ka fr) in
-        set fr i (checked_load t addr width)
-    | Instr.Store (w, a, v) ->
-      let ka, wa = dexpr a in
-      let kv, wv = dexpr v in
-      let width = Instr.width_bytes w in
-      let w = wa + wv + 1 in
-      fun fr ->
-        pre w;
-        let addr = Int64.to_int (ka fr) in
-        let v = kv fr in
-        checked_store t addr width v
-    | Instr.Alloca (x, ty) ->
-      let i = slot x in
-      let size = (Ty.size_of ty + 7) land lnot 7 in
-      fun fr ->
-        pre 1;
-        let sp = c.M.Cpu.sp - size in
-        if sp < c.M.Cpu.stack_base then raise (Aborted "stack overflow");
-        c.M.Cpu.sp <- sp;
-        set fr i (Int64.of_int sp)
-    | Instr.Call (dst, callee, args) ->
-      let kargs_l = List.map dexpr args in
-      let kargs = Array.of_list (List.map fst kargs_l) in
-      let wargs = List.fold_left (fun acc (_, w) -> acc + w) 0 kargs_l in
-      let idst = Option.map slot dst in
-      let eval_args fr =
-        let n = Array.length kargs in
-        let argv = Array.make n 0L in
-        for i = 0 to n - 1 do
-          Array.unsafe_set argv i ((Array.unsafe_get kargs i) fr)
-        done;
-        argv
-      in
-      (match callee with
-      | Instr.Direct fname ->
-        let w = wargs + 1 in
-        let target = ref None in
-        fun fr ->
-          pre w;
-          let argv = eval_args fr in
-          let dt =
-            match !target with
-            | Some dt -> dt
-            | None ->
-              let dt = dresolve t fname in
-              target := Some dt;
-              dt
-          in
-          let ret = dcall_target t dt argv in
-          (match idst with Some i -> set fr i ret | None -> ())
-      | Instr.Indirect e ->
-        let ke, we = dexpr e in
-        let w = wargs + we + 1 in
-        fun fr ->
-          pre w;
-          let addr = Int64.to_int (ke fr) in
-          let fname =
-            match t.map.Address_map.func_of_addr addr with
-            | Some f -> f
-            | None ->
-              raise
-                (Aborted
-                   (Printf.sprintf "indirect call to non-function 0x%08X" addr))
-          in
-          let argv = eval_args fr in
-          let ret = dcall t fname argv in
-          (match idst with Some i -> set fr i ret | None -> ()))
-    | Instr.If (cond, a, b) ->
-      let kc, wc = dexpr cond in
-      let ka = dblock a in
-      let kb = dblock b in
-      let w = wc + 1 in
-      fun fr ->
-        pre w;
-        if truthy (kc fr) then dexec_body ka fr else dexec_body kb fr
-    | Instr.While (cond, body) ->
-      let kc, wc = dexpr cond in
-      let kb = dblock body in
-      fun fr ->
-        pre 1;
-        let rec loop () =
-          if t.fuel <= 0 then raise Fuel_exhausted;
-          M.Cpu.charge c wc;
-          if truthy (kc fr) then begin
-            dexec_body kb fr;
-            loop ()
-          end
-        in
-        loop ()
-    | Instr.Return e ->
-      let ke = match e with None -> None | Some e -> Some (dexpr e) in
-      let w = match ke with None -> 1 | Some (_, we) -> we + 1 in
-      let ke = Option.map fst ke in
-      fun fr ->
-        pre w;
-        let v = match ke with None -> 0L | Some k -> k fr in
-        raise (Returning v)
-    | Instr.Memcpy (d, s, n) ->
-      let kd, wd = dexpr d in
-      let ks, ws = dexpr s in
-      let kn, wn = dexpr n in
-      let w = wd + ws + wn + 1 in
-      fun fr ->
-        pre w;
-        let dst = Int64.to_int (kd fr) in
-        let src = Int64.to_int (ks fr) in
-        let len = Int64.to_int (kn fr) in
-        let rec go off =
-          if off < len then begin
-            let w =
-              if len - off >= 4 && (dst + off) land 3 = 0 && (src + off) land 3 = 0
-              then 4
-              else 1
-            in
-            checked_store t (dst + off) w (checked_load t (src + off) w);
-            go (off + w)
-          end
-        in
-        go 0
-    | Instr.Memset (d, v, n) ->
-      let kd, wd = dexpr d in
-      let kv, wv = dexpr v in
-      let kn, wn = dexpr n in
-      let w = wd + wv + wn + 1 in
-      fun fr ->
-        pre w;
-        let dst = Int64.to_int (kd fr) in
-        let v = kv fr in
-        let len = Int64.to_int (kn fr) in
-        let word =
-          let b = Int64.logand v 0xFFL in
-          List.fold_left
-            (fun acc sh -> Int64.logor acc (Int64.shift_left b sh))
-            0L [ 0; 8; 16; 24 ]
-        in
-        let rec go off =
-          if off < len then begin
-            let w = if len - off >= 4 && (dst + off) land 3 = 0 then 4 else 1 in
-            checked_store t (dst + off) w (if w = 4 then word else v);
-            go (off + w)
-          end
-        in
-        go 0
-    | Instr.Svc n -> fun _fr -> pre 1; t.handler.on_svc n
-    | Instr.Halt -> fun _fr -> pre 1; raise Halted
-  and dblock (block : Instr.block) : (frame -> unit) array =
-    Array.of_list (List.map dinstr block)
-  in
-  let body = dblock f.Func.body in
-  { df_func = f; df_nslots = !nslots; df_nparams = List.length f.Func.params;
-    df_body = body }
-
 (* --- compiled engine ---------------------------------------------------- *)
 
 (* The closure-compiled engine.  Translation happens once, at image-load
@@ -897,17 +493,18 @@ let decode t (f : Func.t) : dfunc =
      assigned locals become bare slot indices ([S]) inlined into the
      consuming closure (no closure call, no def-tag check), and only
      genuinely dynamic subtrees keep a closure ([F]).  Weights (node
-     counts) are computed from the original tree, so batched cycle
-     charges are bit-identical to the decoded engine's.
+     counts) are computed from the original tree: expression closures
+     charge nothing, and the instruction that evaluates them charges,
+     up front, the one cycle the tree walker's dispatch charges plus one
+     cycle per expression node it is about to evaluate.
    - Runs of pure instructions (Let/Alloca/Nop — no bus access, no
      observable point) fuse into superblocks: one fuel check, one
      decrement of the whole run, one batched cycle charge.  When fuel
-     cannot cover the run, an exact per-instruction slow path replicates
-     the decoded engine's check/decrement/charge sequence so
+     cannot cover the run, an exact per-instruction slow path replays
+     the per-instruction check/decrement/charge sequence so
      fuel-exhaustion falls on the same instruction with the same
      cumulative cycles.  Instructions with observable effects (loads,
-     stores, calls, SVCs, control flow) charge individually, exactly as
-     [decode] does, so the count at every observable point matches.
+     stores, calls, SVCs, control flow) charge individually.
    - Direct call sites bind the callee's [cfunc] record at translation
      time (records for all functions exist before bodies compile);
      indirect sites keep a one-entry inline cache keyed by the code
@@ -918,12 +515,24 @@ let decode t (f : Func.t) : dfunc =
      straight to the owning region (SRAM/flash/device window) through
      the bus fast paths; dynamic addresses probe the SRAM range first.
      Both paths charge, MPU-check, trace, and fault exactly like the
-     generic decode.
+     generic checked access.
 
-   The trap protocol (operation entry/exit, SVC marks, telemetry) is
-   byte-for-byte the decoded engine's: superblocks never span a call or
-   an SVC, so monitor activity interleaves with block charges exactly as
-   it does with per-instruction charges. *)
+   Expressions never touch the bus (loads are instructions), so at
+   every observable point — a bus access, an operation switch, an SVC —
+   the cumulative cycle count is bit-identical to the tree engine's
+   node-by-node charging.  The trap protocol (operation entry/exit, SVC
+   marks, telemetry) is the tree engine's: superblocks never span a
+   call or an SVC, so monitor activity interleaves with block charges
+   exactly as it does with per-instruction charges.
+
+   The one divergence window is a run aborting *inside* an expression
+   (division by zero, read of a never-assigned local): the batched count
+   is then ahead of the tree engine's by the nodes that never evaluated.
+   Such a run dies on the spot: the engines agree on everything observed
+   before it and on the kind of abort, but not on its final cycle count,
+   nor — when both operands of an operator would fault, since compiled
+   binops evaluate the right operand first — on which fault is reported
+   (the contract stated at [engine] in the interface). *)
 
 module Str_set = Set.Make (String)
 
@@ -931,7 +540,7 @@ module Str_set = Set.Make (String)
    read in [f] is preceded by a write on all paths, so activations skip
    the [def] bookkeeping entirely.  Functions that fail the analysis
    (the fuzz generator can produce a read of a never-assigned local)
-   keep the decoded engine's checked frames, fault message included. *)
+   keep def-checked frames, fault message included. *)
 let definitely_assigned (f : Func.t) =
   let ok = ref true in
   let rec expr defined (e : Expr.t) =
@@ -1180,6 +789,10 @@ let cbin op a b : frame -> int64 =
 (* A compiled call target, bound at translation time. *)
 type ctarget = { ct_func : cfunc; ct_addr : int; ct_entry : bool }
 
+let exec_body body fr =
+  let n = Array.length (body : (frame -> unit) array) in
+  for i = 0 to n - 1 do (Array.unsafe_get body i) fr done
+
 let empty_argv : int64 array = [||]
 let no_def = Bytes.create 0
 
@@ -1267,15 +880,15 @@ and ccall_operation t cf (argv : int64 array) =
    uncharged effect plus its weight and is eligible for fusion; [Ctail]
    is an uncharged effect whose single bus access happens at its end, so
    it may terminate a fused run (every batched charge lands before the
-   access executes, which is exactly the cumulative count the decoded
-   engine shows at that access); [Cfull] charges for itself. *)
+   access executes, which is exactly the cumulative count per-instruction
+   charging shows at that access); [Cfull] charges for itself. *)
 type cinstr =
   | Cpure of (frame -> unit) * int
   | Ctail of (frame -> unit) * int
   | Cfull of (frame -> unit)
 
-(* Translate one function body into [cf_entry].  Mirrors [decode]'s
-   accounting exactly; see the section comment for what it specializes. *)
+(* Translate one function body into [cf_entry].  See the section comment
+   for the accounting and for what it specializes. *)
 let compile t (cf : cfunc) =
   let f = cf.cf_func in
   let c = cpu t in
@@ -1353,7 +966,7 @@ let compile t (cf : cfunc) =
      over operands that only ever produce 0/1 (comparisons, or nested
      [And]/[Or] of such) fuse into boolean connectives: on 0/1 values
      bitwise and/or coincide with the boolean ones.  Both operands are
-     still evaluated, right one first, like the decoded closures — the
+     still evaluated, right one first, like every compiled binop — the
      connectives do not short-circuit. *)
   let rec boolish (e : Expr.t) =
     match e with
@@ -1492,14 +1105,14 @@ let compile t (cf : cfunc) =
      leaves up is exact, and unlike the boxed path it never allocates.
      Operators whose truncation does not commute (shifts, division,
      comparisons) return [None] and keep the boxed path.  Operand order
-     matches the decoded engine's closures (right operand first), so
-     def-check faults surface in the same order. *)
+     matches the boxed closures (right operand first), so def-check
+     faults surface in the same order. *)
   (* Shaped int-domain values, mirroring [cval]: [IK] constant, [IS]
      slot read (never faults — checked-mode locals compile to [IF] with
      the def test), [IF] computed.  Leaf shapes inline into the parent
      operation, so a binop over leaves is one closure, not three.  Only
      an [IF] side can fault; where both sides are [IF] the right one
-     evaluates first, like the decoded closures. *)
+     evaluates first, like the boxed closures. *)
   let geti fr i = Int64.to_int (Array.unsafe_get fr.regs i) in
   let rec cint_v (e : Expr.t) : cival option =
     match e with
@@ -1678,7 +1291,7 @@ let compile t (cf : cfunc) =
   in
   (* An address-consumer position: the int-domain closure when the
      expression qualifies, otherwise the boxed closure truncated at the
-     end — exactly what the decoded engine computes. *)
+     end — exactly what the boxed path computes. *)
   let cint_or_force (e : Expr.t) : frame -> int =
     match cint e with
     | Some ki -> ki
@@ -1712,8 +1325,8 @@ let compile t (cf : cfunc) =
   in
   (* Static routing for a constant address: pick the owning region's bus
      fast path at translation time; anything unusual (PPB, unmapped,
-     flash writes) keeps the generic decode, whose behaviour is the
-     reference. *)
+     flash writes) keeps the generic checked access, whose behaviour is
+     the reference. *)
   let static_load addr width : unit -> int64 =
     match M.Memmap.classify addr with
     | M.Memmap.Sram when M.Memory.in_range t.bus.M.Bus.sram addr width ->
@@ -1772,7 +1385,7 @@ let compile t (cf : cfunc) =
     match ks with
     | [||] -> fun _fr -> ()
     | [| k |] -> k
-    | ks -> fun fr -> dexec_body ks fr
+    | ks -> fun fr -> exec_body ks fr
   in
   let rec cinstr (instr : Instr.t) : cinstr =
     match instr with
@@ -1896,7 +1509,7 @@ let compile t (cf : cfunc) =
         let ke = cint_or_force e in
         let w = wargs + we + 1 in
         (* one-entry inline cache keyed by the code address; the miss
-           path preserves the decoded engine's fault order (non-function
+           path preserves the tree engine's fault order (non-function
            address before arguments, undefined function after) *)
         let cache : (int * ctarget) option ref = ref None in
         Cfull
@@ -2022,7 +1635,7 @@ let compile t (cf : cfunc) =
   (* Group consecutive pure instructions into one superblock closure:
      fast path takes one fuel decrement and one batched charge for the
      whole run; if fuel cannot cover it, the slow path replays the
-     decoded engine's exact per-instruction sequence so exhaustion
+     exact per-instruction sequence so exhaustion
      lands on the same instruction with the same cycle count. *)
   and cblock (block : Instr.block) : (frame -> unit) array =
     let fuse_run (run : ((frame -> unit) * int) list) : frame -> unit =
@@ -2154,7 +1767,6 @@ let create ?(fuel = 200_000_000) ?(max_depth = 200) ?(handler = abort_handler)
       depth = 0;
       max_depth;
       engine;
-      dfuncs = Hashtbl.create 64;
       cfuncs = Hashtbl.create 64;
       operation_switches = 0;
       sink;
@@ -2162,11 +1774,6 @@ let create ?(fuel = 200_000_000) ?(max_depth = 200) ?(handler = abort_handler)
   in
   (match engine with
   | Tree -> ()
-  | Decoded ->
-    (* decode once, at image-load time *)
-    List.iter
-      (fun (f : Func.t) -> Hashtbl.replace t.dfuncs f.Func.name (decode t f))
-      program.Program.funcs
   | Compiled ->
     (* two-phase translation: create every function's record first so
        direct call sites bind their callee's record, then compile the
@@ -2188,7 +1795,6 @@ let create ?(fuel = 200_000_000) ?(max_depth = 200) ?(handler = abort_handler)
 let call t fname argv =
   match t.engine with
   | Tree -> call t fname argv
-  | Decoded -> dcall t fname (Array.of_list argv)
   | Compiled -> ccall t fname (Array.of_list argv)
 
 let run ?(reset_stack = true) t =

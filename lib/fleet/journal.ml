@@ -56,40 +56,15 @@ let entries t = Mutex.protect t.lock (fun () -> List.rev t.rev_entries)
 let count t kind =
   List.length (List.filter (fun e -> String.equal e.e_kind kind) (entries t))
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04X" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let entry_json e =
-  Printf.sprintf
-    {|{"seq":%d,"ns":%Ld,"domain":%d,"unit":"%s","kind":"%s","detail":"%s"}|}
-    e.e_seq e.e_ns e.e_domain (json_escape e.e_unit) (json_escape e.e_kind)
-    (json_escape e.e_detail)
-
 let to_json t =
-  let es = entries t in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"events\": [\n";
-  List.iteri
-    (fun i e ->
-      Buffer.add_string b "    ";
-      Buffer.add_string b (entry_json e);
-      if i < List.length es - 1 then Buffer.add_string b ",";
-      Buffer.add_string b "\n")
-    es;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  let module Json = Opec_json.Json in
+  let entry e =
+    Json.Obj
+      [ ("seq", Json.int e.e_seq); ("ns", Json.int64 e.e_ns);
+        ("domain", Json.int e.e_domain); ("unit", Json.Str e.e_unit);
+        ("kind", Json.Str e.e_kind); ("detail", Json.Str e.e_detail) ]
+  in
+  Json.rows [ ("events", Json.Compact, Json.Arr (List.map entry (entries t))) ]
 
 let save path t =
   let oc = open_out path in

@@ -8,39 +8,28 @@
    and fails the build if they diverge.  Timing truth lives in the job
    journal and in BENCH_fleet.json. *)
 
-let quote = Journal.json_escape
+module Json = Opec_json.Json
 
 (* --- JSON ---------------------------------------------------------------- *)
 
 let job_json (s : Spec.t) =
-  let apps =
-    match s.Spec.apps with
-    | Spec.All_apps -> {|"all"|}
-    | Spec.No_apps -> "[]"
-    | Spec.Named names ->
-      Printf.sprintf "[%s]"
-        (String.concat ","
-           (List.map (fun n -> Printf.sprintf {|"%s"|} (quote n)) names))
-  in
-  let seeds =
-    match s.Spec.seeds with
-    | None -> "null"
-    | Some (lo, hi) -> Printf.sprintf {|{"lo":%d,"hi":%d,"size":%d}|} lo hi s.Spec.seed_size
-  in
-  let tasks =
-    String.concat ","
-      (List.map
-         (fun t -> Printf.sprintf {|"%s"|} (Spec.task_name t))
-         s.Spec.tasks)
-  in
-  let backends =
-    String.concat ","
-      (List.map
-         (fun k -> Printf.sprintf {|"%s"|} (Opec_machine.Backend.kind_name k))
-         s.Spec.backends)
-  in
-  Printf.sprintf {|{"apps":%s,"seeds":%s,"tasks":[%s],"backends":[%s]}|} apps
-    seeds tasks backends
+  let strs l = Json.Arr (List.map (fun x -> Json.Str x) l) in
+  Json.Obj
+    [ ( "apps",
+        match s.Spec.apps with
+        | Spec.All_apps -> Json.Str "all"
+        | Spec.No_apps -> Json.Arr []
+        | Spec.Named names -> strs names );
+      ( "seeds",
+        match s.Spec.seeds with
+        | None -> Json.Null
+        | Some (lo, hi) ->
+          Json.Obj
+            [ ("lo", Json.int lo); ("hi", Json.int hi);
+              ("size", Json.int s.Spec.seed_size) ] );
+      ("tasks", strs (List.map Spec.task_name s.Spec.tasks));
+      ( "backends",
+        strs (List.map Opec_machine.Backend.kind_name s.Spec.backends) ) ]
 
 (* Group the flat (unit, result) list back into per-(image, backend)
    records.  Units are image-major (then backend-major) in canonical
@@ -62,57 +51,67 @@ let by_image (pairs : (Spec.unit_ * Task.result) list) :
 
 let image_json label (im : Spec.image) (tasks : (Spec.task * Task.result) list)
     =
-  Printf.sprintf {|{"image":"%s","generated":%b,"tasks":{%s}}|} (quote label)
-    im.Spec.im_generated
-    (String.concat ","
-       (List.map
-          (fun (t, r) ->
-            Printf.sprintf {|"%s":%s|} (Spec.task_name t) (Task.to_json r))
-          tasks))
+  Json.Obj
+    [ ("image", Json.Str label); ("generated", Json.Bool im.Spec.im_generated);
+      ( "tasks",
+        Json.Obj
+          (List.map (fun (t, r) -> (Spec.task_name t, Task.to_json r)) tasks) )
+    ]
 
 let aggregate_json (g : Agg.t) =
+  let int = Json.int and i64 = Json.int64 in
   let overhead_pct =
     if Int64.compare g.Agg.g_base_cycles 0L > 0 then
-      Printf.sprintf "%.2f"
-        (Int64.to_float g.Agg.g_overhead_cycles
-        /. Int64.to_float g.Agg.g_base_cycles
-        *. 100.)
-    else "0.00"
+      Int64.to_float g.Agg.g_overhead_cycles
+      /. Int64.to_float g.Agg.g_base_cycles
+      *. 100.
+    else 0.
   in
-  Printf.sprintf
-    {|{"units":%d,"failed":%d,"images_compiled":%d,"ops":%d,"flash":%d,"sram":%d,"syncset_bytes":%d,"lint":{"runs":%d,"errors":%d,"warnings":%d,"infos":%d},"attack":{"runs":%d,"injections":%d,"opec_escapes":%d,"defenses":{%s}},"trace":{"runs":%d,"baseline_cycles":%Ld,"protected_cycles":%Ld,"overhead_cycles":%Ld,"overhead_pct":%s,"sync_cycles":%Ld,"switches":%d,"synced_bytes":%d},"fuzz":{"runs":%d,"failures":%d}}|}
-    g.Agg.g_units g.Agg.g_failed g.Agg.g_images_compiled g.Agg.g_ops
-    g.Agg.g_flash g.Agg.g_sram g.Agg.g_syncset_bytes g.Agg.g_lint_runs
-    g.Agg.g_lint_errors g.Agg.g_lint_warnings g.Agg.g_lint_infos
-    g.Agg.g_attack_runs g.Agg.g_injections g.Agg.g_opec_escapes
-    (String.concat ","
-       (List.map
-          (fun (name, oc) ->
-            Printf.sprintf {|"%s":%s|} (quote name) (Task.oc_json oc))
-          g.Agg.g_attack))
-    g.Agg.g_trace_runs g.Agg.g_base_cycles g.Agg.g_prot_cycles
-    g.Agg.g_overhead_cycles overhead_pct g.Agg.g_sync_cycles g.Agg.g_switches
-    g.Agg.g_synced_bytes g.Agg.g_fuzz_runs g.Agg.g_fuzz_failures
+  Json.Obj
+    [ ("units", int g.Agg.g_units); ("failed", int g.Agg.g_failed);
+      ("images_compiled", int g.Agg.g_images_compiled);
+      ("ops", int g.Agg.g_ops); ("flash", int g.Agg.g_flash);
+      ("sram", int g.Agg.g_sram); ("syncset_bytes", int g.Agg.g_syncset_bytes);
+      ( "lint",
+        Json.Obj
+          [ ("runs", int g.Agg.g_lint_runs); ("errors", int g.Agg.g_lint_errors);
+            ("warnings", int g.Agg.g_lint_warnings);
+            ("infos", int g.Agg.g_lint_infos) ] );
+      ( "attack",
+        Json.Obj
+          [ ("runs", int g.Agg.g_attack_runs);
+            ("injections", int g.Agg.g_injections);
+            ("opec_escapes", int g.Agg.g_opec_escapes);
+            ( "defenses",
+              Json.Obj
+                (List.map (fun (name, oc) -> (name, Task.oc_json oc)) g.Agg.g_attack)
+            ) ] );
+      ( "trace",
+        Json.Obj
+          [ ("runs", int g.Agg.g_trace_runs);
+            ("baseline_cycles", i64 g.Agg.g_base_cycles);
+            ("protected_cycles", i64 g.Agg.g_prot_cycles);
+            ("overhead_cycles", i64 g.Agg.g_overhead_cycles);
+            ("overhead_pct", Json.fixed 2 overhead_pct);
+            ("sync_cycles", i64 g.Agg.g_sync_cycles);
+            ("switches", int g.Agg.g_switches);
+            ("synced_bytes", int g.Agg.g_synced_bytes) ] );
+      ( "fuzz",
+        Json.Obj
+          [ ("runs", int g.Agg.g_fuzz_runs);
+            ("failures", int g.Agg.g_fuzz_failures) ] ) ]
 
 let to_json ~(spec : Spec.t) ~(pairs : (Spec.unit_ * Task.result) list)
     ~(agg : Agg.t) =
-  let b = Buffer.create 8192 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"job\": %s,\n" (job_json spec));
-  Buffer.add_string b "  \"images\": [\n";
-  let groups = by_image pairs in
-  List.iteri
-    (fun i (label, im, tasks) ->
-      Buffer.add_string b "    ";
-      Buffer.add_string b (image_json label im tasks);
-      if i < List.length groups - 1 then Buffer.add_string b ",";
-      Buffer.add_string b "\n")
-    groups;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"aggregate\": %s\n" (aggregate_json agg));
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  Json.rows
+    [ ("job", Json.Compact, job_json spec);
+      ( "images",
+        Json.Compact,
+        Json.Arr
+          (List.map
+             (fun (label, im, tasks) -> image_json label im tasks)
+             (by_image pairs)) );
+      ("aggregate", Json.Compact, aggregate_json agg) ]
 
 (* --- text ---------------------------------------------------------------- *)
 

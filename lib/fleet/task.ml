@@ -185,49 +185,52 @@ let run (u : Spec.unit_) : result =
 
 (* --- JSON (deterministic; the report's raw material) -------------------- *)
 
-let quote = Journal.json_escape
+module Json = Opec_json.Json
 
 let oc_json oc =
-  Printf.sprintf
-    {|{"blocked":%d,"contained":%d,"escaped":%d,"crashed":%d}|}
-    oc.oc_blocked oc.oc_contained oc.oc_escaped oc.oc_crashed
+  Json.Obj
+    [ ("blocked", Json.int oc.oc_blocked);
+      ("contained", Json.int oc.oc_contained);
+      ("escaped", Json.int oc.oc_escaped); ("crashed", Json.int oc.oc_crashed) ]
 
-let to_json = function
+let to_json r =
+  let task name fields = Json.Obj (("task", Json.Str name) :: fields) in
+  let int = Json.int and i64 = Json.int64 in
+  match r with
   | Compiled c ->
-    Printf.sprintf
-      {|{"task":"compile","ops":%d,"entries":%d,"flash":%d,"sram":%d,"syncset_bytes":%d}|}
-      c.c_ops c.c_entries c.c_flash c.c_sram c.c_syncset_bytes
+    task "compile"
+      [ ("ops", int c.c_ops); ("entries", int c.c_entries);
+        ("flash", int c.c_flash); ("sram", int c.c_sram);
+        ("syncset_bytes", int c.c_syncset_bytes) ]
   | Linted l ->
-    Printf.sprintf
-      {|{"task":"lint","errors":%d,"warnings":%d,"infos":%d,"by_code":{%s}}|}
-      l.l_errors l.l_warnings l.l_infos
-      (String.concat ","
-         (List.map
-            (fun (code, n) -> Printf.sprintf {|"%s":%d|} (quote code) n)
-            l.l_by_code))
+    task "lint"
+      [ ("errors", int l.l_errors); ("warnings", int l.l_warnings);
+        ("infos", int l.l_infos);
+        ("by_code", Json.Obj (List.map (fun (code, n) -> (code, int n)) l.l_by_code))
+      ]
   | Attacked a ->
-    Printf.sprintf
-      {|{"task":"attack","injections":%d,"opec_escapes":%d,"defenses":{%s}}|}
-      a.a_injections a.a_opec_escapes
-      (String.concat ","
-         (List.map
-            (fun (name, oc) ->
-              Printf.sprintf {|"%s":%s|} (quote name) (oc_json oc))
-            a.a_defenses))
+    task "attack"
+      [ ("injections", int a.a_injections);
+        ("opec_escapes", int a.a_opec_escapes);
+        ( "defenses",
+          Json.Obj (List.map (fun (name, oc) -> (name, oc_json oc)) a.a_defenses) )
+      ]
   | Traced t ->
-    Printf.sprintf
-      {|{"task":"trace","baseline_cycles":%Ld,"protected_cycles":%Ld,"overhead_cycles":%Ld,"sanitize":%Ld,"sync":%Ld,"relocate":%Ld,"svc":%Ld,"other":%Ld,"switches":%d,"synced_bytes":%d}|}
-      t.t_base_cycles t.t_prot_cycles t.t_overhead_cycles t.t_sanitize
-      t.t_sync t.t_relocate t.t_svc t.t_other t.t_switches t.t_synced_bytes
+    task "trace"
+      [ ("baseline_cycles", i64 t.t_base_cycles);
+        ("protected_cycles", i64 t.t_prot_cycles);
+        ("overhead_cycles", i64 t.t_overhead_cycles);
+        ("sanitize", i64 t.t_sanitize); ("sync", i64 t.t_sync);
+        ("relocate", i64 t.t_relocate); ("svc", i64 t.t_svc);
+        ("other", i64 t.t_other); ("switches", int t.t_switches);
+        ("synced_bytes", int t.t_synced_bytes) ]
   | Fuzzed f ->
-    Printf.sprintf {|{"task":"fuzz","properties":[%s],"failures":[%s]}|}
-      (String.concat ","
-         (List.map (fun p -> Printf.sprintf {|"%s"|} (quote p)) f.f_properties))
-      (String.concat ","
-         (List.map
-            (fun (p, d) ->
-              Printf.sprintf {|{"property":"%s","detail":"%s"}|} (quote p)
-                (quote d))
-            f.f_failures))
-  | Failed x ->
-    Printf.sprintf {|{"task":"failed","error":"%s"}|} (quote x.x_error)
+    task "fuzz"
+      [ ("properties", Json.Arr (List.map (fun p -> Json.Str p) f.f_properties));
+        ( "failures",
+          Json.Arr
+            (List.map
+               (fun (p, d) ->
+                 Json.Obj [ ("property", Json.Str p); ("detail", Json.Str d) ])
+               f.f_failures) ) ]
+  | Failed x -> task "failed" [ ("error", Json.Str x.x_error) ]

@@ -287,46 +287,57 @@ let pp_guided_report f r =
    ride in [skipped] as structured records (and the CLI mirrors them to
    stderr). *)
 
-let json_quote s = Printf.sprintf "%S" s
+module Json = Opec_json.Json
 
-let failure_json x =
-  Printf.sprintf
-    {|{"seed":%d,"property":%s,"detail":%s,"funcs_before":%d,"funcs_after":%d,"repro":%s}|}
-    x.f_seed (json_quote x.f_property) (json_quote x.f_detail)
-    x.f_funcs_before x.f_funcs_after
-    (match x.f_repro with None -> "null" | Some p -> json_quote p)
+let failure_json origin property detail before after repro =
+  Json.Obj
+    [ origin; ("property", Json.Str property); ("detail", Json.Str detail);
+      ("funcs_before", Json.int before); ("funcs_after", Json.int after);
+      ("repro", match repro with None -> Json.Null | Some p -> Json.Str p) ]
 
 let report_json r =
-  Printf.sprintf
-    {|{"mode":"blind","lo":%d,"hi":%d,"size":%d,"properties":[%s],"passed":%d,"failures":[%s]}|}
-    r.r_lo r.r_hi r.r_size
-    (String.concat "," (List.map json_quote r.r_properties))
-    r.r_passed
-    (String.concat "," (List.map failure_json r.r_failures))
-
-let guided_failure_json x =
-  Printf.sprintf
-    {|{"origin":%s,"property":%s,"detail":%s,"funcs_before":%d,"funcs_after":%d,"repro":%s}|}
-    (json_quote x.gf_origin) (json_quote x.gf_property)
-    (json_quote x.gf_detail) x.gf_funcs_before x.gf_funcs_after
-    (match x.gf_repro with None -> "null" | Some p -> json_quote p)
+  Json.to_string
+    (Json.Obj
+       [ ("mode", Json.Str "blind"); ("lo", Json.int r.r_lo);
+         ("hi", Json.int r.r_hi); ("size", Json.int r.r_size);
+         ("properties", Json.Arr (List.map (fun p -> Json.Str p) r.r_properties));
+         ("passed", Json.int r.r_passed);
+         ( "failures",
+           Json.Arr
+             (List.map
+                (fun x ->
+                  failure_json ("seed", Json.int x.f_seed) x.f_property
+                    x.f_detail x.f_funcs_before x.f_funcs_after x.f_repro)
+                r.r_failures) ) ])
 
 let guided_report_json r =
-  Printf.sprintf
-    {|{"mode":"guided","lo":%d,"hi":%d,"size":%d,"budget":%d,"corpus_dir":%s,"loaded":%d,"skipped":[%s],"executions":%d,"new_entries":%d,"mutants_kept":%d,"edges":%d,"curve":[%s],"failures":[%s]}|}
-    r.g_lo r.g_hi r.g_size r.g_budget
-    (json_quote r.g_corpus_dir)
-    r.g_loaded
-    (String.concat ","
-       (List.map
-          (fun (path, reason) ->
-            Printf.sprintf {|{"path":%s,"reason":%s}|} (json_quote path)
-              (json_quote reason))
-          r.g_skipped))
-    r.g_executions r.g_new_entries r.g_mutants_kept r.g_edges
-    (String.concat ","
-       (List.map (fun (x, e) -> Printf.sprintf "[%d,%d]" x e) r.g_curve))
-    (String.concat "," (List.map guided_failure_json r.g_failures))
+  Json.to_string
+    (Json.Obj
+       [ ("mode", Json.Str "guided"); ("lo", Json.int r.g_lo);
+         ("hi", Json.int r.g_hi); ("size", Json.int r.g_size);
+         ("budget", Json.int r.g_budget);
+         ("corpus_dir", Json.Str r.g_corpus_dir); ("loaded", Json.int r.g_loaded);
+         ( "skipped",
+           Json.Arr
+             (List.map
+                (fun (path, reason) ->
+                  Json.Obj [ ("path", Json.Str path); ("reason", Json.Str reason) ])
+                r.g_skipped) );
+         ("executions", Json.int r.g_executions);
+         ("new_entries", Json.int r.g_new_entries);
+         ("mutants_kept", Json.int r.g_mutants_kept);
+         ("edges", Json.int r.g_edges);
+         ( "curve",
+           Json.Arr
+             (List.map (fun (x, e) -> Json.Arr [ Json.int x; Json.int e ]) r.g_curve)
+         );
+         ( "failures",
+           Json.Arr
+             (List.map
+                (fun x ->
+                  failure_json ("origin", Json.Str x.gf_origin) x.gf_property
+                    x.gf_detail x.gf_funcs_before x.gf_funcs_after x.gf_repro)
+                r.g_failures) ) ])
 
 (* --- seeded-defect efficiency ------------------------------------------- *)
 

@@ -45,38 +45,24 @@ let pp fmt d =
   Fmt.pf fmt "%s %a [%a] %s" d.code pp_severity d.severity pp_loc d.loc
     d.message
 
-(* --- JSON (hand-rendered; the tree carries no JSON library) ------------ *)
+(* --- JSON ----------------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04X" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Opec_json.Json
 
-let loc_json = function
-  | Program -> Printf.sprintf {|{"kind":"program"}|}
-  | Function f -> Printf.sprintf {|{"kind":"function","name":"%s"}|} (json_escape f)
-  | Operation op ->
-    Printf.sprintf {|{"kind":"operation","name":"%s"}|} (json_escape op)
+let loc_json loc =
+  let kind k fields = Json.Obj (("kind", Json.Str k) :: fields) in
+  match loc with
+  | Program -> kind "program" []
+  | Function f -> kind "function" [ ("name", Json.Str f) ]
+  | Operation op -> kind "operation" [ ("name", Json.Str op) ]
   | Icall { func; index } ->
-    Printf.sprintf {|{"kind":"icall","function":"%s","index":%d}|}
-      (json_escape func) index
+    kind "icall" [ ("function", Json.Str func); ("index", Json.int index) ]
   | Region { op; slot } ->
-    Printf.sprintf {|{"kind":"region","operation":"%s","slot":"%s"}|}
-      (json_escape op) (json_escape slot)
-  | Address a -> Printf.sprintf {|{"kind":"address","address":%d}|} a
+    kind "region" [ ("operation", Json.Str op); ("slot", Json.Str slot) ]
+  | Address a -> kind "address" [ ("address", Json.int a) ]
 
 let to_json d =
-  Printf.sprintf {|{"code":"%s","severity":"%s","loc":%s,"message":"%s"}|}
-    (json_escape d.code)
-    (Fmt.str "%a" pp_severity d.severity)
-    (loc_json d.loc) (json_escape d.message)
+  Json.Obj
+    [ ("code", Json.Str d.code);
+      ("severity", Json.Str (Fmt.str "%a" pp_severity d.severity));
+      ("loc", loc_json d.loc); ("message", Json.Str d.message) ]

@@ -102,5 +102,4 @@ let render ?(all = false) fmt diags =
     (if count Diag.Warning = 1 then "" else "s")
     (count Diag.Info)
 
-let to_json diags =
-  "[" ^ String.concat "," (List.map Diag.to_json diags) ^ "]"
+let to_json diags = Opec_json.Json.Arr (List.map Diag.to_json diags)

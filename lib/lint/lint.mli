@@ -47,4 +47,4 @@ val errors : Diag.t list -> Diag.t list
 val render : ?all:bool -> Format.formatter -> Diag.t list -> unit
 
 (** The diagnostics as a JSON array. *)
-val to_json : Diag.t list -> string
+val to_json : Diag.t list -> Opec_json.Json.t

@@ -392,9 +392,13 @@ let pp_result f r =
 
 (* JSON emission shared by [bench load] and [opec load --json]. *)
 let result_json r =
-  Printf.sprintf
-    {|{"scenario": "%s", "backend": "%s", "events": %d, "stimuli": %d, "telemetry": %d, "switch_spans": %d, "cycles": %Ld, "wall_s": %.3f, "mean": %.1f, "p50": %Ld, "p99": %Ld, "p999": %Ld, "max": %Ld, "check": "%s"}|}
-    r.r_scenario r.r_backend r.r_events r.r_stimuli r.r_telemetry
-    r.r_switch_spans r.r_cycles r.r_wall_s r.r_mean r.r_p50 r.r_p99 r.r_p999
-    r.r_max
-    (match r.r_check with Ok () -> "ok" | Error e -> e)
+  let module Json = Opec_json.Json in
+  let i64 = Json.int64 and int = Json.int in
+  Json.Obj
+    [ ("scenario", Json.Str r.r_scenario); ("backend", Json.Str r.r_backend);
+      ("events", int r.r_events); ("stimuli", int r.r_stimuli);
+      ("telemetry", int r.r_telemetry); ("switch_spans", int r.r_switch_spans);
+      ("cycles", i64 r.r_cycles); ("wall_s", Json.fixed 3 r.r_wall_s);
+      ("mean", Json.fixed 1 r.r_mean); ("p50", i64 r.r_p50);
+      ("p99", i64 r.r_p99); ("p999", i64 r.r_p999); ("max", i64 r.r_max);
+      ("check", Json.Str (match r.r_check with Ok () -> "ok" | Error e -> e)) ]

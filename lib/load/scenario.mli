@@ -41,5 +41,5 @@ val run :
 
 val pp_result : Format.formatter -> result -> unit
 
-(** One-line JSON object for [bench load] / [opec load --json]. *)
-val result_json : result -> string
+(** The result as a JSON object, for [bench load] / [opec load --json]. *)
+val result_json : result -> Opec_json.Json.t

@@ -94,7 +94,7 @@ let virtualize st ~cpu ~(meta : C.Metadata.op_meta) ~virt_next ~addr =
       let slot = first + (virt_next mod max 1 resident) in
       let evicted = pmp_entry_id (M.Pmp.get pmp slot) in
       M.Cpu.with_privilege cpu (fun () ->
-          M.Pmp.set pmp slot (C.Pmp_plan.of_mpu_region region));
+          M.Pmp.set pmp slot (C.Backend_plan.pmp_of_mpu_region region));
       Some
         { sw_slot = slot; sw_evicted = evicted;
           sw_installed = Obs.Sink.region_id_of region })

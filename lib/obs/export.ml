@@ -1,27 +1,10 @@
 (* Telemetry exporters: human text, machine JSON, and Chrome
    trace-event JSON (loadable in Perfetto / chrome://tracing).
 
-   JSON is hand-rolled on a [Buffer] — the project deliberately carries
-   no JSON dependency — and emitted deterministically so exports diff
-   cleanly across runs. *)
+   JSON goes through {!Opec_json.Json} and is emitted deterministically
+   so exports diff cleanly across runs. *)
 
-let escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-let jstr b s =
-  Buffer.add_char b '"';
-  escape b s;
-  Buffer.add_char b '"'
+module Json = Opec_json.Json
 
 (* ---- human text ---- *)
 
@@ -88,137 +71,115 @@ let text ?(events = false) (evs : Sink.event list) : string =
 
 (* ---- machine JSON ---- *)
 
-let json_phase_sample b (p : Sink.phase_sample) =
-  Buffer.add_string b "{\"phase\":";
-  jstr b (Sink.phase_name p.Sink.ph);
-  Buffer.add_string b
-    (Printf.sprintf ",\"start\":%Ld,\"end\":%Ld,\"bytes\":%d}" p.Sink.ph_start
-       p.Sink.ph_end p.Sink.ph_bytes)
+let json_info (i : Sink.M.Fault.info) =
+  Json.Obj
+    [ ("addr", Json.int i.Sink.M.Fault.addr);
+      ( "access",
+        Json.Str
+          (match i.Sink.M.Fault.access with
+          | Sink.M.Fault.Read -> "read"
+          | Sink.M.Fault.Write -> "write"
+          | Sink.M.Fault.Execute -> "execute") );
+      ("privileged", Json.Bool i.Sink.M.Fault.privileged) ]
 
-let json_info b (i : Sink.M.Fault.info) =
-  Buffer.add_string b
-    (Printf.sprintf "{\"addr\":%d,\"access\":\"%s\",\"privileged\":%b}"
-       i.Sink.M.Fault.addr
-       (match i.Sink.M.Fault.access with
-       | Sink.M.Fault.Read -> "read"
-       | Sink.M.Fault.Write -> "write"
-       | Sink.M.Fault.Execute -> "execute")
-       i.Sink.M.Fault.privileged)
+let json_region (r : Sink.region_id) =
+  Json.Obj
+    [ ("base", Json.int r.Sink.rg_base);
+      ("size_log2", Json.int r.Sink.rg_size_log2) ]
 
-let json_region b (r : Sink.region_id) =
-  Buffer.add_string b
-    (Printf.sprintf "{\"base\":%d,\"size_log2\":%d}" r.Sink.rg_base
-       r.Sink.rg_size_log2)
+let json_opt f = function None -> Json.Null | Some x -> f x
 
-let json_event b (e : Sink.event) =
+let json_event (e : Sink.event) =
+  let tagged ty fields = Json.Obj (("type", Json.Str ty) :: fields) in
   match e with
   | Sink.Switch s ->
-    Buffer.add_string b "{\"type\":\"switch\",\"kind\":";
-    jstr b (Sink.kind_name s.Sink.sp_kind);
-    Buffer.add_string b ",\"src\":";
-    jstr b s.Sink.sp_src;
-    Buffer.add_string b ",\"dst\":";
-    jstr b s.Sink.sp_dst;
-    Buffer.add_string b
-      (Printf.sprintf ",\"start\":%Ld,\"end\":%Ld,\"phases\":[" s.Sink.sp_start
-         s.Sink.sp_end);
-    List.iteri
-      (fun i p ->
-        if i > 0 then Buffer.add_char b ',';
-        json_phase_sample b p)
-      s.Sink.sp_phases;
-    Buffer.add_string b "]}"
+    tagged "switch"
+      [ ("kind", Json.Str (Sink.kind_name s.Sink.sp_kind));
+        ("src", Json.Str s.Sink.sp_src); ("dst", Json.Str s.Sink.sp_dst);
+        ("start", Json.int64 s.Sink.sp_start); ("end", Json.int64 s.Sink.sp_end);
+        ( "phases",
+          Json.Arr
+            (List.map
+               (fun (p : Sink.phase_sample) ->
+                 Json.Obj
+                   [ ("phase", Json.Str (Sink.phase_name p.Sink.ph));
+                     ("start", Json.int64 p.Sink.ph_start);
+                     ("end", Json.int64 p.Sink.ph_end);
+                     ("bytes", Json.int p.Sink.ph_bytes) ])
+               s.Sink.sp_phases) ) ]
   | Sink.Region_swap r ->
-    Buffer.add_string b "{\"type\":\"region_swap\",\"op\":";
-    jstr b r.rs_op;
-    Buffer.add_string b (Printf.sprintf ",\"slot\":%d,\"evicted\":" r.rs_slot);
-    (match r.rs_evicted with
-    | None -> Buffer.add_string b "null"
-    | Some rid -> json_region b rid);
-    Buffer.add_string b ",\"installed\":";
-    json_region b r.rs_installed;
-    Buffer.add_string b (Printf.sprintf ",\"at\":%Ld}" r.rs_at)
+    tagged "region_swap"
+      [ ("op", Json.Str r.rs_op); ("slot", Json.int r.rs_slot);
+        ("evicted", json_opt json_region r.rs_evicted);
+        ("installed", json_region r.rs_installed);
+        ("at", Json.int64 r.rs_at) ]
   | Sink.Emulation e ->
-    Buffer.add_string b "{\"type\":\"emulation\",\"op\":";
-    jstr b e.em_op;
-    Buffer.add_string b
-      (Printf.sprintf ",\"write\":%b,\"info\":" e.em_write);
-    json_info b e.em_info;
-    Buffer.add_string b (Printf.sprintf ",\"at\":%Ld}" e.em_at)
+    tagged "emulation"
+      [ ("op", Json.Str e.em_op); ("write", Json.Bool e.em_write);
+        ("info", json_info e.em_info); ("at", Json.int64 e.em_at) ]
   | Sink.Denial d ->
-    Buffer.add_string b "{\"type\":\"denial\",\"op\":";
-    jstr b d.dn_op;
-    Buffer.add_string b ",\"reason\":";
-    jstr b d.dn_reason;
-    Buffer.add_string b ",\"info\":";
-    (match d.dn_info with
-    | None -> Buffer.add_string b "null"
-    | Some i -> json_info b i);
-    Buffer.add_string b (Printf.sprintf ",\"at\":%Ld}" d.dn_at)
+    tagged "denial"
+      [ ("op", Json.Str d.dn_op); ("reason", Json.Str d.dn_reason);
+        ("info", json_opt json_info d.dn_info); ("at", Json.int64 d.dn_at) ]
   | Sink.Svc_switch s ->
-    Buffer.add_string b "{\"type\":\"svc_switch\",\"kind\":";
-    jstr b (Sink.kind_name s.sv_kind);
-    Buffer.add_string b ",\"entry\":";
-    jstr b s.sv_entry;
-    Buffer.add_string b (Printf.sprintf ",\"at\":%Ld}" s.sv_at)
+    tagged "svc_switch"
+      [ ("kind", Json.Str (Sink.kind_name s.sv_kind));
+        ("entry", Json.Str s.sv_entry); ("at", Json.int64 s.sv_at) ]
 
 let json (evs : Sink.event list) : string =
   let a = Agg.of_events evs in
-  let b = Buffer.create 8192 in
-  Buffer.add_string b "{\n  \"summary\": {";
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"switch_spans\": %d, \"init_spans\": %d, \"switch_cycles\": %Ld, \
-        \"init_cycles\": %Ld, \"region_swaps\": %d, \"emulations\": %d, \
-        \"denials\": %d, \"svc_marks\": %d, \"synced_bytes\": %d"
-       a.Agg.switch_spans a.Agg.init_spans a.Agg.switch_cycles
-       a.Agg.init_cycles a.Agg.swap_events a.Agg.emulation_events
-       a.Agg.denial_events a.Agg.svc_marks a.Agg.synced_bytes);
-  Buffer.add_string b "},\n  \"phases\": {";
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_string b ", ";
-      let c = a.Agg.totals.(Agg.phase_index p) in
-      jstr b (Sink.phase_name p);
-      Buffer.add_string b
-        (Printf.sprintf ": {\"cycles\": %Ld, \"bytes\": %d, \"legs\": %d}"
-           c.Agg.pt_cycles c.Agg.pt_bytes c.Agg.pt_samples))
-    Sink.phases;
-  Buffer.add_string b "},\n  \"operations\": [";
-  List.iteri
-    (fun i (o : Agg.op_agg) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "\n    {\"name\": ";
-      jstr b o.Agg.op_name;
-      Buffer.add_string b
-        (Printf.sprintf
-           ", \"enters\": %d, \"exits\": %d, \"threads\": %d, \"cycles\": \
-            %Ld, \"mean_cycles\": %.1f, \"synced_bytes\": %d, \"swaps\": %d, \
-            \"emulations\": %d, \"denials\": %d}"
-           o.Agg.enters o.Agg.exits o.Agg.threads o.Agg.op_latency.Agg.total
-           (Agg.hist_mean o.Agg.op_latency)
-           o.Agg.op_synced_bytes o.Agg.op_swaps o.Agg.op_emulations
-           o.Agg.op_denials))
-    (Agg.ops_by_cost a);
-  Buffer.add_string b "\n  ],\n  \"matrix\": [";
-  List.iteri
-    (fun i (src, dst, n) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "\n    {\"src\": ";
-      jstr b src;
-      Buffer.add_string b ", \"dst\": ";
-      jstr b dst;
-      Buffer.add_string b (Printf.sprintf ", \"count\": %d}" n))
-    (Agg.matrix_rows a);
-  Buffer.add_string b "\n  ],\n  \"events\": [";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "\n    ";
-      json_event b e)
-    evs;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  let int = Json.int and i64 = Json.int64 in
+  Json.rows
+    [ ( "summary",
+        Json.Spaced,
+        Json.Obj
+          [ ("switch_spans", int a.Agg.switch_spans);
+            ("init_spans", int a.Agg.init_spans);
+            ("switch_cycles", i64 a.Agg.switch_cycles);
+            ("init_cycles", i64 a.Agg.init_cycles);
+            ("region_swaps", int a.Agg.swap_events);
+            ("emulations", int a.Agg.emulation_events);
+            ("denials", int a.Agg.denial_events);
+            ("svc_marks", int a.Agg.svc_marks);
+            ("synced_bytes", int a.Agg.synced_bytes) ] );
+      ( "phases",
+        Json.Spaced,
+        Json.Obj
+          (List.map
+             (fun p ->
+               let c = a.Agg.totals.(Agg.phase_index p) in
+               ( Sink.phase_name p,
+                 Json.Obj
+                   [ ("cycles", i64 c.Agg.pt_cycles);
+                     ("bytes", int c.Agg.pt_bytes);
+                     ("legs", int c.Agg.pt_samples) ] ))
+             Sink.phases) );
+      ( "operations",
+        Json.Spaced,
+        Json.Arr
+          (List.map
+             (fun (o : Agg.op_agg) ->
+               Json.Obj
+                 [ ("name", Json.Str o.Agg.op_name);
+                   ("enters", int o.Agg.enters); ("exits", int o.Agg.exits);
+                   ("threads", int o.Agg.threads);
+                   ("cycles", i64 o.Agg.op_latency.Agg.total);
+                   ("mean_cycles", Json.fixed 1 (Agg.hist_mean o.Agg.op_latency));
+                   ("synced_bytes", int o.Agg.op_synced_bytes);
+                   ("swaps", int o.Agg.op_swaps);
+                   ("emulations", int o.Agg.op_emulations);
+                   ("denials", int o.Agg.op_denials) ])
+             (Agg.ops_by_cost a)) );
+      ( "matrix",
+        Json.Spaced,
+        Json.Arr
+          (List.map
+             (fun (src, dst, n) ->
+               Json.Obj
+                 [ ("src", Json.Str src); ("dst", Json.Str dst);
+                   ("count", int n) ])
+             (Agg.matrix_rows a)) );
+      ("events", Json.Compact, Json.Arr (List.map json_event evs)) ]
 
 (* ---- Chrome trace-event JSON ---- *)
 
@@ -226,108 +187,74 @@ let json (evs : Sink.event list) : string =
    fields Perfetto expects; absolute durations read as if the core ran
    at 1 MHz, relative widths are exact. *)
 let chrome (evs : Sink.event list) : string =
-  let b = Buffer.create 8192 in
-  let first = ref true in
-  let sep () =
-    if !first then first := false else Buffer.add_string b ",\n";
-    Buffer.add_string b "    "
+  let event ~name ~cat ~ts ?dur ~args () =
+    Json.Obj
+      ([ ("name", Json.Str name); ("cat", Json.Str cat);
+         ("ph", Json.Str (if dur = None then "i" else "X"));
+         ("ts", Json.int64 ts) ]
+      @ (match dur with Some d -> [ ("dur", Json.int64 d) ] | None -> [])
+      @ [ ("pid", Json.int 1); ("tid", Json.int 1) ]
+      @ (if dur = None then [ ("s", Json.Str "t") ] else [])
+      @ [ ("args", Json.Obj args) ])
   in
-  let complete ~name ~cat ~ts ~dur ~args =
-    sep ();
-    Buffer.add_string b "{\"name\": ";
-    jstr b name;
-    Buffer.add_string b ", \"cat\": ";
-    jstr b cat;
-    Buffer.add_string b
-      (Printf.sprintf
-         ", \"ph\": \"X\", \"ts\": %Ld, \"dur\": %Ld, \"pid\": 1, \"tid\": 1, \
-          \"args\": {%s}}"
-         ts dur args)
+  let trace_events =
+    List.concat_map
+      (fun (e : Sink.event) ->
+        match e with
+        | Sink.Switch s ->
+          let name =
+            Printf.sprintf "%s %s->%s"
+              (Sink.kind_name s.Sink.sp_kind)
+              (opname s.Sink.sp_src) (opname s.Sink.sp_dst)
+          in
+          event ~name ~cat:"switch" ~ts:s.Sink.sp_start
+            ~dur:(Sink.span_cycles s)
+            ~args:
+              [ ("kind", Json.Str (Sink.kind_name s.Sink.sp_kind));
+                ("src", Json.Str s.Sink.sp_src);
+                ("dst", Json.Str s.Sink.sp_dst) ]
+            ()
+          (* phase legs nest inside the span on the same track *)
+          :: List.map
+               (fun (p : Sink.phase_sample) ->
+                 event
+                   ~name:(Sink.phase_name p.Sink.ph)
+                   ~cat:"phase" ~ts:p.Sink.ph_start
+                   ~dur:(Int64.sub p.Sink.ph_end p.Sink.ph_start)
+                   ~args:[ ("bytes", Json.int p.Sink.ph_bytes) ]
+                   ())
+               s.Sink.sp_phases
+        | Sink.Region_swap r ->
+          [ event
+              ~name:(Printf.sprintf "swap slot %d" r.rs_slot)
+              ~cat:"region-swap" ~ts:r.rs_at
+              ~args:
+                [ ("op", Json.Str r.rs_op);
+                  ("installed_base", Json.int r.rs_installed.Sink.rg_base) ]
+              () ]
+        | Sink.Emulation e ->
+          [ event
+              ~name:(if e.em_write then "ppb store" else "ppb load")
+              ~cat:"emulation" ~ts:e.em_at
+              ~args:
+                [ ("op", Json.Str e.em_op);
+                  ("addr", Json.int e.em_info.Sink.M.Fault.addr) ]
+              () ]
+        | Sink.Denial d ->
+          [ event ~name:"denial" ~cat:"denial" ~ts:d.dn_at
+              ~args:[ ("op", Json.Str d.dn_op); ("reason", Json.Str d.dn_reason) ]
+              () ]
+        | Sink.Svc_switch s ->
+          [ event
+              ~name:(Printf.sprintf "svc %s" (Sink.kind_name s.sv_kind))
+              ~cat:"svc" ~ts:s.sv_at
+              ~args:[ ("entry", Json.Str s.sv_entry) ]
+              () ])
+      evs
   in
-  let instant ~name ~cat ~ts ~args =
-    sep ();
-    Buffer.add_string b "{\"name\": ";
-    jstr b name;
-    Buffer.add_string b ", \"cat\": ";
-    jstr b cat;
-    Buffer.add_string b
-      (Printf.sprintf
-         ", \"ph\": \"i\", \"ts\": %Ld, \"pid\": 1, \"tid\": 1, \"s\": \"t\", \
-          \"args\": {%s}}"
-         ts args)
-  in
-  let arg_str k v =
-    let vb = Buffer.create 32 in
-    jstr vb v;
-    Printf.sprintf "\"%s\": %s" k (Buffer.contents vb)
-  in
-  List.iter
-    (fun (e : Sink.event) ->
-      match e with
-      | Sink.Switch s ->
-        let name =
-          Printf.sprintf "%s %s->%s"
-            (Sink.kind_name s.Sink.sp_kind)
-            (opname s.Sink.sp_src) (opname s.Sink.sp_dst)
-        in
-        complete ~name ~cat:"switch" ~ts:s.Sink.sp_start
-          ~dur:(Sink.span_cycles s)
-          ~args:
-            (String.concat ", "
-               [
-                 arg_str "kind" (Sink.kind_name s.Sink.sp_kind);
-                 arg_str "src" s.Sink.sp_src;
-                 arg_str "dst" s.Sink.sp_dst;
-               ]);
-        (* phase legs nest inside the span on the same track *)
-        List.iter
-          (fun (p : Sink.phase_sample) ->
-            complete
-              ~name:(Sink.phase_name p.Sink.ph)
-              ~cat:"phase" ~ts:p.Sink.ph_start
-              ~dur:(Int64.sub p.Sink.ph_end p.Sink.ph_start)
-              ~args:(Printf.sprintf "\"bytes\": %d" p.Sink.ph_bytes))
-          s.Sink.sp_phases
-      | Sink.Region_swap r ->
-        instant
-          ~name:(Printf.sprintf "swap slot %d" r.rs_slot)
-          ~cat:"region-swap" ~ts:r.rs_at
-          ~args:
-            (String.concat ", "
-               [
-                 arg_str "op" r.rs_op;
-                 Printf.sprintf "\"installed_base\": %d"
-                   r.rs_installed.Sink.rg_base;
-               ])
-      | Sink.Emulation e ->
-        instant
-          ~name:(if e.em_write then "ppb store" else "ppb load")
-          ~cat:"emulation" ~ts:e.em_at
-          ~args:
-            (String.concat ", "
-               [
-                 arg_str "op" e.em_op;
-                 Printf.sprintf "\"addr\": %d" e.em_info.Sink.M.Fault.addr;
-               ])
-      | Sink.Denial d ->
-        instant ~name:"denial" ~cat:"denial" ~ts:d.dn_at
-          ~args:
-            (String.concat ", "
-               [ arg_str "op" d.dn_op; arg_str "reason" d.dn_reason ])
-      | Sink.Svc_switch s ->
-        instant
-          ~name:(Printf.sprintf "svc %s" (Sink.kind_name s.sv_kind))
-          ~cat:"svc" ~ts:s.sv_at
-          ~args:(arg_str "entry" s.sv_entry))
-    evs;
-  Printf.sprintf
-    "{\n\
-    \  \"displayTimeUnit\": \"ns\",\n\
-    \  \"traceEvents\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    (Buffer.contents b)
+  Json.rows
+    [ ("displayTimeUnit", Json.Spaced, Json.Str "ns");
+      ("traceEvents", Json.Spaced, Json.Arr trace_events) ]
 
 type format = Text | Json | Chrome
 

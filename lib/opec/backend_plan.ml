@@ -7,7 +7,7 @@
    - MPU:   the fixed 8-region plan of {!Mpu_plan} (regions beyond the
             four reserved peripheral slots overflow into runtime
             virtualization);
-   - PMP:   the 16-entry translation of {!Pmp_plan} (lowest-match-wins,
+   - PMP:   a 16-entry translation of the MPU plan (lowest-match-wins,
             TOR stack prefix instead of sub-region masking);
    - CHERI: a per-operation capability table — one precise grant per
             object, no budget, nothing to virtualize;
@@ -34,6 +34,72 @@ let stack_limit_of_srd ~stack_base ~stack_top srd =
       if i > 7 then 8 else if srd land (1 lsl i) <> 0 then i else first_disabled (i + 1)
     in
     stack_base + (first_disabled 0 * Config.stack_subregion_size)
+
+(* --- PMP ------------------------------------------------------------------ *)
+
+(* RISC-V PMP (paper, Section 7: porting OPEC requires "a memory
+   protection unit ... similar to the ARM MPU, e.g., RISC-V PMP").  The
+   PMP picks the LOWEST-numbered matching entry, the opposite of the
+   MPU's highest-wins rule, so the translation reverses the plan: the
+   specific windows come first and the read-only background entry last.
+   The 16 entries also leave room for more peripheral windows before
+   virtualization is needed. *)
+
+(* One MPU region as a NAPOT entry with its unprivileged permissions.
+   The translated regions never use sub-regions (the stack's SRD
+   becomes a TOR entry instead). *)
+let pmp_of_mpu_region (r : M.Mpu.region) =
+  M.Pmp.napot ~base:r.M.Mpu.base ~size_log2:r.M.Mpu.size_log2
+    ~r:(r.M.Mpu.unprivileged <> M.Mpu.No_access)
+    ~w:(r.M.Mpu.unprivileged = M.Mpu.Read_write)
+    ~x:r.M.Mpu.executable ()
+
+(* The windows ahead of the peripherals, in entry order: the accessible
+   stack prefix, the operation data section, the heap, then the code
+   window.  Code precedes the peripherals so a peripheral-heavy
+   operation can never crowd it out of the table (peripheral windows
+   overflow into virtualization; the code window must stay resident).
+   Both the installer and the monitor's rotation arithmetic read this
+   one sequence. *)
+let pmp_fixed ~stack ~section ~heap ~code =
+  (stack :: Option.to_list section) @ Option.to_list heap @ [ code ]
+
+(* Entries a plan may fill; the top two are reserved (a spare and the
+   background). *)
+let pmp_plan_slots = M.Pmp.entry_count - 2
+
+let install_pmp pmp ~code_base ~code_bytes ~stack_base ~stack_limit ?heap
+    (section : Layout.section option) (op : Operation.t) =
+  for i = 0 to M.Pmp.entry_count - 1 do
+    M.Pmp.set pmp i
+      { M.Pmp.mode = M.Pmp.Off; r = false; w = false; x = false; locked = false }
+  done;
+  let rw (s : Layout.section) =
+    M.Pmp.napot ~base:s.Layout.base ~size_log2:s.Layout.region_log2 ~r:true
+      ~w:true ~x:false ()
+  in
+  let _, code_log2 = M.Mpu.region_size_for code_bytes in
+  let fixed =
+    pmp_fixed
+      ~stack:
+        (M.Pmp.tor ~base:stack_base ~limit:stack_limit ~r:true ~w:true ~x:false
+           ())
+      ~section:(Option.map rw section) ~heap:(Option.map rw heap)
+      ~code:
+        (M.Pmp.napot
+           ~base:(code_base land lnot ((1 lsl code_log2) - 1))
+           ~size_log2:code_log2 ~r:true ~w:false ~x:true ())
+  in
+  let room = pmp_plan_slots - List.length fixed in
+  let periphs = Mpu_plan.peripheral_regions op in
+  List.iteri (M.Pmp.set pmp)
+    (fixed
+    @ List.map pmp_of_mpu_region (List.filteri (fun i _ -> i < room) periphs));
+  (* background: code + SRAM read-only, lowest priority *)
+  M.Pmp.set pmp (M.Pmp.entry_count - 1)
+    (M.Pmp.napot ~base:0x0 ~size_log2:30 ~r:true ~w:false ~x:false ());
+  M.Pmp.enable pmp;
+  List.filteri (fun i _ -> i >= room) periphs
 
 (* --- CHERI ---------------------------------------------------------------- *)
 
@@ -165,8 +231,8 @@ let install st ~code_base ~code_bytes ~(layout : Layout.t) ~srd ?heap
   | M.Backend.Mpu_state m ->
     Mpu_plan.install m ~code_base ~code_bytes ~stack_base ~srd ?heap section op
   | M.Backend.Pmp_state p ->
-    Pmp_plan.install p ~code_base ~code_bytes ~stack_base
-      ~stack_accessible_limit:stack_limit ?heap section op
+    install_pmp p ~code_base ~code_bytes ~stack_base ~stack_limit ?heap
+      section op
   | M.Backend.Cheri_state c ->
     install_cheri c ~code_base ~code_bytes ~stack_base ~stack_limit ?heap
       section op;
@@ -177,15 +243,16 @@ let install st ~code_base ~code_bytes ~(layout : Layout.t) ~srd ?heap
     []
 
 (* First PMP entry index holding a peripheral window, and the capacity
-   before the table is full — the monitor's rotation arithmetic.
-   Mirrors the push order of {!Pmp_plan.install}: stack, data section,
-   heap, code, then peripherals, with the top two entries reserved
-   (spare + background). *)
+   before the table is full — the monitor's rotation arithmetic, counted
+   off the installer's own entry sequence. *)
 let pmp_periph_first ~has_section ~has_heap =
-  1 + (if has_section then 1 else 0) + (if has_heap then 1 else 0) + 1
+  let some b = if b then Some () else None in
+  List.length
+    (pmp_fixed ~stack:() ~section:(some has_section) ~heap:(some has_heap)
+       ~code:())
 
 let pmp_periph_capacity ~has_section ~has_heap =
-  M.Pmp.entry_count - 2 - pmp_periph_first ~has_section ~has_heap
+  pmp_plan_slots - pmp_periph_first ~has_section ~has_heap
 
 (* First recyclable POE key and how many there are (after the heap claims
    one when present) — the monitor's key-recycling arithmetic. *)

@@ -7,6 +7,10 @@ module M = Opec_machine
 (** The stack prefix limit the MPU's sub-region disable mask encodes. *)
 val stack_limit_of_srd : stack_base:int -> stack_top:int -> int -> int
 
+(** One MPU region as a PMP NAPOT entry with the unprivileged
+    permissions (the monitor's peripheral rotation installs these). *)
+val pmp_of_mpu_region : M.Mpu.region -> M.Pmp.entry
+
 (** The operation's CHERI capability table (background, code, stack
     prefix, data section, heap, precise peripheral grants). *)
 val cheri_caps :

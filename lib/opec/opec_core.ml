@@ -8,7 +8,6 @@ module Operation = Operation
 module Partition = Partition
 module Layout = Layout
 module Mpu_plan = Mpu_plan
-module Pmp_plan = Pmp_plan
 module Backend_plan = Backend_plan
 module Instrument = Instrument
 module Metadata = Metadata

@@ -9,6 +9,7 @@ module P = Opec_pipeline.Pipeline
 module Apps = Opec_apps
 module Atk = Opec_attack
 module Mon = Opec_monitor
+module Json = Opec_json.Json
 
 let pinlock_small () =
   match Apps.Registry.find "PinLock" (Apps.Registry.all_small ()) with
@@ -202,20 +203,28 @@ let pinned_row (app : Apps.App.t) backend =
   P.reraise b.P.b_err;
   P.reraise p.P.p_err;
   let s = p.P.p_stats in
-  Printf.sprintf
-    "{\"app\": %S, \"backend\": %S, \"baseline_cycles\": %Ld, \
-     \"protected_cycles\": %Ld, \"switches\": %d, \"synced_bytes\": %d, \
-     \"relocated_bytes\": %d, \"virt_swaps\": %d, \"emulations\": %d, \
-     \"pointer_fixups\": %d, \"denied\": %d, \"checks\": %S}"
-    app.Apps.App.app_name (M.Backend.kind_name backend) b.P.b_cycles
-    p.P.p_cycles s.Mon.Stats.switches s.Mon.Stats.synced_bytes
-    s.Mon.Stats.relocated_bytes s.Mon.Stats.virt_swaps s.Mon.Stats.emulations
-    s.Mon.Stats.pointer_fixups s.Mon.Stats.denied
-    (match (b.P.b_check, p.P.p_check) with
-    | Ok (), Ok () -> "ok"
-    | Error e, _ -> "baseline: " ^ e
-    | Ok (), Error e -> "protected: " ^ e)
+  let int = Json.int in
+  Json.to_string ~layout:Json.Spaced
+    (Json.Obj
+       [ ("app", Json.Str app.Apps.App.app_name);
+         ("backend", Json.Str (M.Backend.kind_name backend));
+         ("baseline_cycles", Json.int64 b.P.b_cycles);
+         ("protected_cycles", Json.int64 p.P.p_cycles);
+         ("switches", int s.Mon.Stats.switches);
+         ("synced_bytes", int s.Mon.Stats.synced_bytes);
+         ("relocated_bytes", int s.Mon.Stats.relocated_bytes);
+         ("virt_swaps", int s.Mon.Stats.virt_swaps);
+         ("emulations", int s.Mon.Stats.emulations);
+         ("pointer_fixups", int s.Mon.Stats.pointer_fixups);
+         ("denied", int s.Mon.Stats.denied);
+         ( "checks",
+           Json.Str
+             (match (b.P.b_check, p.P.p_check) with
+             | Ok (), Ok () -> "ok"
+             | Error e, _ -> "baseline: " ^ e
+             | Ok (), Error e -> "protected: " ^ e) ) ])
 
+(* one row per line, as the reference file is laid out *)
 let pinned_table () =
   let rows =
     List.concat_map

@@ -229,19 +229,26 @@ let test_journal_well_formed () =
         Alcotest.(check bool) "timestamp non-negative" true
           (Int64.compare e.Fl.Journal.e_ns 0L >= 0))
       entries;
-    (* the exported JSON round-trips through the shape CI consumes:
-       one event object per line, seq strictly increasing *)
-    let json = Fl.Journal.to_json j in
+    (* the exported JSON parses back to the journal: every kind is
+       there, seq strictly increasing *)
+    let module Json = Opec_json.Json in
+    let events =
+      match Json.of_string (Fl.Journal.to_json j) with
+      | Ok doc -> Option.bind (Json.member "events" doc) Json.to_list
+      | Error e -> Alcotest.failf "journal JSON: %s" e
+    in
+    let field conv k e = Option.get (Option.bind (Json.member k e) conv) in
+    let events = Option.value events ~default:[] in
+    let kinds = List.map (field Json.to_str "kind") events in
     Alcotest.(check bool) "journal JSON mentions every kind" true
       (List.for_all
-         (fun k ->
-           let pat = Printf.sprintf "\"kind\":\"%s\"" k in
-           let n = String.length json and m = String.length pat in
-           let rec find i =
-             i + m <= n && (String.equal (String.sub json i m) pat || find (i + 1))
-           in
-           find 0)
-         [ "enqueued"; "started"; "finished" ])
+         (fun k -> List.mem k kinds)
+         [ "enqueued"; "started"; "finished" ]);
+    let seqs = List.map (field Json.to_int "seq") events in
+    Alcotest.(check bool) "journal JSON seq strictly increasing" true
+      (List.for_all2 ( < )
+         (List.filteri (fun i _ -> i < List.length seqs - 1) seqs)
+         (List.tl seqs))
 
 (* --- failed tasks are contained, reported, and journaled ----------------- *)
 

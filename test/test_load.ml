@@ -122,46 +122,17 @@ let test_checks_pass () =
 
 (* --- the p99 regression gate --------------------------------------------- *)
 
-(* naive field scanner, enough for the flat reference object *)
-let scan_field line key =
-  let pat = Printf.sprintf "\"%s\":" key in
-  match String.index_opt line ':' with
-  | None -> None
-  | Some _ ->
-    let plen = String.length pat and llen = String.length line in
-    let rec find i =
-      if i + plen > llen then None
-      else if String.sub line i plen = pat then
-        let rec num j acc =
-          if j < llen && (line.[j] = '-' || ('0' <= line.[j] && line.[j] <= '9'))
-          then num (j + 1) (acc ^ String.make 1 line.[j])
-          else acc
-        in
-        let rec skip j =
-          if j < llen && line.[j] = ' ' then skip (j + 1) else j
-        in
-        let s = num (skip (i + plen)) "" in
-        int_of_string_opt s
-      else find (i + 1)
-    in
-    find 0
-
 let parse_ref path =
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    let line = String.map (fun ch -> if ch = '\n' then ' ' else ch) s in
-    match
-      ( scan_field line "events", scan_field line "p50", scan_field line "p99",
-        scan_field line "p999" )
-    with
-    | Some events, Some p50, Some p99, Some p999 ->
-      Some (events, p50, p99, p999)
-    | _ -> None
-  end
+  let module Json = Opec_json.Json in
+  match Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
+  | Error e -> Alcotest.failf "%s: %s" path e
+  | Ok doc ->
+    let field k =
+      match Option.bind (Json.member k doc) Json.to_int with
+      | Some v -> v
+      | None -> Alcotest.failf "%s: no integer field %S" path k
+    in
+    (field "events", field "p50", field "p99", field "p999")
 
 (* A deterministic 10k-event request-storm run under the default
    backend, gated exactly against the checked-in reference: the
@@ -169,18 +140,16 @@ let parse_ref path =
    change to the event count or to p50/p99/p999 is a switch-protocol
    change that must come with a regenerated reference. *)
 let test_percentiles_reference () =
-  match parse_ref ref_file with
-  | None -> Alcotest.failf "missing or unparseable %s" ref_file
-  | Some (ref_events, ref_p50, ref_p99, ref_p999) ->
-    let r = L.Scenario.run ~target_events:10_000 L.Scenario.Request_storm in
-    Alcotest.(check int) "event count is pinned" ref_events
-      r.L.Scenario.r_events;
-    Alcotest.(check int64) "p50 switch latency is pinned"
-      (Int64.of_int ref_p50) r.L.Scenario.r_p50;
-    Alcotest.(check int64) "p99 switch latency is pinned"
-      (Int64.of_int ref_p99) r.L.Scenario.r_p99;
-    Alcotest.(check int64) "p999 switch latency is pinned"
-      (Int64.of_int ref_p999) r.L.Scenario.r_p999
+  let ref_events, ref_p50, ref_p99, ref_p999 = parse_ref ref_file in
+  let r = L.Scenario.run ~target_events:10_000 L.Scenario.Request_storm in
+  Alcotest.(check int) "event count is pinned" ref_events
+    r.L.Scenario.r_events;
+  Alcotest.(check int64) "p50 switch latency is pinned"
+    (Int64.of_int ref_p50) r.L.Scenario.r_p50;
+  Alcotest.(check int64) "p99 switch latency is pinned"
+    (Int64.of_int ref_p99) r.L.Scenario.r_p99;
+  Alcotest.(check int64) "p999 switch latency is pinned"
+    (Int64.of_int ref_p999) r.L.Scenario.r_p999
 
 let suite () =
   [ ( "load",

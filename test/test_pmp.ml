@@ -81,10 +81,9 @@ let test_plan_translation () =
   let layout = image.C.Image.layout in
   let pmp = Pmp.create () in
   let overflow =
-    C.Pmp_plan.install pmp ~code_base:image.C.Image.code_base
-      ~code_bytes:image.C.Image.code_bytes
-      ~stack_base:layout.C.Layout.stack_base
-      ~stack_accessible_limit:layout.C.Layout.stack_top
+    C.Backend_plan.install (M.Backend.Pmp_state pmp)
+      ~code_base:image.C.Image.code_base ~code_bytes:image.C.Image.code_bytes
+      ~layout ~srd:0
       (C.Layout.section_of layout "task_a")
       op
   in
@@ -132,11 +131,9 @@ let prop_pmp_no_more_permissive =
        (C.Layout.section_of layout "t") op);
   let pmp = Pmp.create () in
   ignore
-    (C.Pmp_plan.install pmp ~code_base:image.C.Image.code_base
-       ~code_bytes:image.C.Image.code_bytes
-       ~stack_base:layout.C.Layout.stack_base
-       ~stack_accessible_limit:layout.C.Layout.stack_top
-       (C.Layout.section_of layout "t") op);
+    (C.Backend_plan.install (M.Backend.Pmp_state pmp)
+       ~code_base:image.C.Image.code_base ~code_bytes:image.C.Image.code_bytes
+       ~layout ~srd:0 (C.Layout.section_of layout "t") op);
   QCheck.Test.make ~name:"PMP translation is no more permissive (writes)"
     ~count:300
     QCheck.(int_bound 0x2FFF)
