@@ -57,7 +57,7 @@ let table1 () =
   let rows =
     List.map
       (fun (app : Apps.App.t) ->
-        let image = Met.Workload.compile app in
+        let image = P.image (P.ctx app) in
         Met.Security_eval.of_image ~app:app.Apps.App.app_name image)
       (Apps.Registry.all ())
   in
@@ -126,7 +126,7 @@ let figure10 () =
     (fun (app : Apps.App.t) ->
       say "-- %s" app.Apps.App.app_name;
       (* OPEC: every operation's PT (0 by construction, computed) *)
-      let image = Met.Workload.compile app in
+      let image = P.image (P.ctx app) in
       let opec_samples = Met.Overprivilege.opec_pt image in
       let max_pt =
         List.fold_left
@@ -156,9 +156,14 @@ let figure11 () =
   List.iter
     (fun (app : Apps.App.t) ->
       say "-- %s" app.Apps.App.app_name;
-      let baseline = Met.Workload.run_baseline app in
-      let task_instances = Met.Workload.task_instances app baseline in
-      let image = Met.Workload.compile app in
+      let c = P.ctx app in
+      let baseline = P.baseline c in
+      P.reraise baseline.P.b_err;
+      let task_instances =
+        Opec_exec.Trace.tasks_of ~entries:(Apps.App.task_entries app)
+          baseline.P.b_events
+      in
+      let image = P.image c in
       let opec = Met.Overprivilege.opec_et image ~task_instances in
       let aces_series =
         List.map
@@ -196,7 +201,7 @@ let table3 () =
   prewarm [ w_image ] (Apps.Registry.all ());
   let images =
     List.map
-      (fun (app : Apps.App.t) -> (app, Met.Workload.compile app))
+      (fun (app : Apps.App.t) -> (app, P.image (P.ctx app)))
       (Apps.Registry.all ())
   in
   let rows =
@@ -263,7 +268,7 @@ let ablation () =
   let opec_mass = ref 0.0 and aces_mass = ref 0.0 in
   List.iter
     (fun (app : Apps.App.t) ->
-      let image = Met.Workload.compile app in
+      let image = P.image (P.ctx app) in
       opec_mass := !opec_mass +. pt_mass (Met.Overprivilege.opec_pt image);
       let aces = P.aces (P.ctx app) A.Strategy.Filename_no_opt in
       aces_mass := !aces_mass +. pt_mass (Met.Overprivilege.aces_pt aces))
@@ -273,7 +278,7 @@ let ablation () =
   (* 2. sync only shared variables vs whole-section copies at switches *)
   say "-- (2) shared-only sync vs whole-section staging (PinLock, 20 rounds)";
   let app = Apps.Registry.pinlock ~rounds:20 () in
-  let image = Met.Workload.compile app in
+  let image = P.image (P.ctx app) in
   let run whole =
     let world = app.Apps.App.make_world () in
     world.Apps.App.prepare ();
@@ -296,7 +301,7 @@ let ablation () =
   say "-- (3) peripheral sort+merge vs one-region-per-peripheral; (4) ops needing virtualization";
   List.iter
     (fun (app : Apps.App.t) ->
-      let image = Met.Workload.compile app in
+      let image = P.image (P.ctx app) in
       let merged, naive, over =
         List.fold_left
           (fun (m, n, o) (op : C.Operation.t) ->
@@ -319,7 +324,7 @@ let ablation () =
   say "-- (5) descending-size placement vs declaration order (SRAM bytes incl. fragments)";
   List.iter
     (fun (app : Apps.App.t) ->
-      let sorted_img = Met.Workload.compile app in
+      let sorted_img = P.image (P.ctx app) in
       (* the unsorted image is the ablation itself, a non-canonical
          artifact the store never carries: compiled privately *)
       let unsorted_img =
@@ -337,22 +342,34 @@ let ablation () =
 let bechamel_tests () =
   let open Bechamel in
   let pinlock = Apps.Registry.pinlock ~rounds:2 () in
-  let image = Met.Workload.compile pinlock in
+  let image = P.image (P.ctx pinlock) in
   (* micro-benchmarks time the *uncached* work: the memoized paths
-     would measure a store lookup, so every test below uses the fresh
-     variants *)
+     would measure a store lookup, so every test below builds and runs
+     its own machine *)
+  let devices () =
+    let world = pinlock.Apps.App.make_world () in
+    world.Apps.App.prepare ();
+    world.Apps.App.devices
+  in
   let switch_test =
     Test.make ~name:"protected-run(pinlock,2 rounds)"
       (Staged.stage (fun () ->
-           ignore (Met.Workload.run_protected_fresh ~image pinlock)))
+           ignore
+             (Opec_monitor.Runner.run_protected ~devices:(devices ()) image)))
   in
   let baseline_test =
     Test.make ~name:"baseline-run(pinlock,2 rounds)"
-      (Staged.stage (fun () -> ignore (Met.Workload.run_baseline_fresh pinlock)))
+      (Staged.stage (fun () ->
+           ignore
+             (Opec_monitor.Runner.run_baseline ~devices:(devices ())
+                ~board:pinlock.Apps.App.board pinlock.Apps.App.program)))
   in
   let compile_test =
     Test.make ~name:"compile(pinlock)"
-      (Staged.stage (fun () -> ignore (Met.Workload.compile_fresh pinlock)))
+      (Staged.stage (fun () ->
+           ignore
+             (C.Compiler.compile ~board:pinlock.Apps.App.board
+                pinlock.Apps.App.program pinlock.Apps.App.dev_input)))
   in
   let points_to_test =
     Test.make ~name:"points-to(tcp-echo)"
@@ -532,7 +549,13 @@ let pipeline_bench () =
   let cm_cycles = ref 0L in
   let cm_wall =
     time (fun () ->
-        cm_cycles := (Met.Workload.run_baseline_fresh cm).Met.Workload.b_cycles)
+        let world = cm.Apps.App.make_world () in
+        world.Apps.App.prepare ();
+        let r =
+          Opec_monitor.Runner.run_baseline ~devices:world.Apps.App.devices
+            ~board:cm.Apps.App.board cm.Apps.App.program
+        in
+        cm_cycles := Opec_exec.Interp.cycles r.Opec_monitor.Runner.b_interp)
   in
   let cps = Int64.to_float !cm_cycles /. Float.max 1e-9 cm_wall in
   say "  CoreMark baseline: %Ld cycles in %.3f s (%.0f cycles/s)" !cm_cycles

@@ -146,8 +146,7 @@ let policy_cmd =
     match find_app name with
     | Error e -> exits_with_error e
     | Ok app ->
-      let image = Met.Workload.compile app in
-      print_endline (C.Compiler.policy image)
+      print_endline (C.Compiler.policy (P.image (P.ctx app)))
   in
   Cmd.v
     (Cmd.info "policy"
@@ -165,21 +164,24 @@ let run_cmd =
     match find_app name with
     | Error e -> exits_with_error e
     | Ok app ->
-      if baseline_only then begin
-        let b = Met.Workload.run_baseline app in
-        Format.printf "cycles: %Ld@." b.Met.Workload.b_cycles;
-        match b.Met.Workload.b_check with
-        | Ok () -> Format.printf "world check: OK@."
-        | Error e -> exits_with_error ("world check failed: " ^ e)
-      end
-      else begin
-        let p = Met.Workload.run_protected app in
-        Format.printf "cycles: %Ld@." p.Met.Workload.p_cycles;
-        Format.printf "monitor: %a@." Mon.Stats.pp p.Met.Workload.p_stats;
-        match p.Met.Workload.p_check with
-        | Ok () -> Format.printf "world check: OK@."
-        | Error e -> exits_with_error ("world check failed: " ^ e)
-      end
+      let check =
+        if baseline_only then begin
+          let b = P.baseline (P.ctx app) in
+          P.reraise b.P.b_err;
+          Format.printf "cycles: %Ld@." b.P.b_cycles;
+          b.P.b_check
+        end
+        else begin
+          let p = P.protected_ (P.ctx app) in
+          P.reraise p.P.p_err;
+          Format.printf "cycles: %Ld@." p.P.p_cycles;
+          Format.printf "monitor: %a@." Mon.Stats.pp p.P.p_stats;
+          p.P.p_check
+        end
+      in
+      match check with
+      | Ok () -> Format.printf "world check: OK@."
+      | Error e -> exits_with_error ("world check failed: " ^ e)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute a workload on the machine model")
@@ -193,13 +195,16 @@ let compare_cmd =
     match find_app name with
     | Error e -> exits_with_error e
     | Ok app ->
-      let baseline = Met.Workload.run_baseline app in
-      let protected_ = Met.Workload.run_protected app in
-      let image = protected_.Met.Workload.p_image in
-      Format.printf "baseline cycles:  %Ld@." baseline.Met.Workload.b_cycles;
-      Format.printf "protected cycles: %Ld@." protected_.Met.Workload.p_cycles;
+      let c = P.ctx app in
+      let baseline = P.baseline c in
+      P.reraise baseline.P.b_err;
+      let protected_ = P.protected_ c in
+      P.reraise protected_.P.p_err;
+      let image = P.image c in
+      Format.printf "baseline cycles:  %Ld@." baseline.P.b_cycles;
+      Format.printf "protected cycles: %Ld@." protected_.P.p_cycles;
       Format.printf "runtime overhead: %.2f%%@."
-        (Met.Workload.runtime_overhead_pct ~baseline ~protected_);
+        (Met.Overhead.runtime_overhead_pct ~baseline ~protected_);
       Format.printf "flash overhead:   %.2f%% of device flash@."
         (C.Image.flash_overhead_pct image);
       Format.printf "SRAM overhead:    %.2f%% of device SRAM@."
@@ -1056,12 +1061,19 @@ let load_cmd =
              sensor-burst, interrupt-preempt, or tcp-echo-slice.")
   in
   let events =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "bad event target %S (want N >= 1)" s))
+    in
     Arg.(
-      value & opt int 100_000
+      value
+      & opt (conv (parse, Format.pp_print_int)) 100_000
       & info [ "events" ] ~docv:"N"
           ~doc:
-            "Event target per scenario run (the tcp-echo-slice drives \
-             a fixed 500-frame slice regardless).")
+            "Event target per scenario run; $(docv) must be at least 1 \
+             (anything else is a usage error).  The tcp-echo-slice \
+             ignores it and drives a fixed 500-frame slice.")
   in
   let json =
     Arg.(

@@ -11,11 +11,11 @@ module M = Opec_machine
 module C = Opec_core
 module Mon = Opec_monitor
 module Apps = Opec_apps
-module Met = Opec_metrics
+module P = Opec_pipeline.Pipeline
 
 let () =
   let app = Apps.Registry.tcp_echo ~valid:3 ~invalid:9 () in
-  let image = Met.Workload.compile app in
+  let image = P.image (P.ctx app) in
 
   Format.printf "== packet-path operations ==@.";
   List.iter

@@ -128,10 +128,6 @@ let opec_cell (app : Apps.App.t) (image : C.Image.t) ~clean inj =
   (* nothing reads a cell's trace; don't accumulate one *)
   (E.Interp.trace r.Mon.Runner.interp).E.Trace.enabled <- false;
   Inject.attach injector ~bus:r.Mon.Runner.bus ~interp:r.Mon.Runner.interp;
-  let cpu = r.Mon.Runner.bus.M.Bus.cpu in
-  cpu.M.Cpu.sp <- image.C.Image.map.E.Address_map.stack_top;
-  cpu.M.Cpu.stack_base <- image.C.Image.map.E.Address_map.stack_base;
-  cpu.M.Cpu.stack_limit <- image.C.Image.map.E.Address_map.stack_top;
   Mon.Monitor.init r.Mon.Runner.monitor;
   let err =
     run_to_end (fun () -> E.Interp.run ~reset_stack:false r.Mon.Runner.interp)
@@ -173,23 +169,9 @@ let baseline_cell (app : Apps.App.t) (image : C.Image.t) ~clean ~defense ~mode
 
 (* --- clean reference runs ------------------------------------------------ *)
 
-(* The clean baseline also runs with [entries] marked (through the
-   pass-through abort handler), so its cycle accounting — visible to
-   firmware through SysTick/DWT — matches the attacked runs exactly.
-   These legacy private runs survive only for foreign images the
-   artifact store did not produce; the normal path reads the pipeline's
-   memoized marked-baseline and protected runs. *)
-let clean_baseline (app : Apps.App.t) (image : C.Image.t) =
-  let world = app.Apps.App.make_world () in
-  world.Apps.App.prepare ();
-  let r =
-    Mon.Runner.run_baseline ~devices:world.Apps.App.devices
-      ~engine:(P.current_engine ()) ~entries:image.C.Image.entries
-      ~board:app.Apps.App.board app.Apps.App.program
-  in
-  Snapshot.baseline r.Mon.Runner.b_bus
-    ~map:r.Mon.Runner.b_layout.E.Vanilla_layout.map app.Apps.App.program
-
+(* A private clean protected run, for a foreign image the artifact store
+   did not produce (the fuzz defect gate's); the store's own image reads
+   the pipeline's memoized run instead. *)
 let clean_protected (app : Apps.App.t) (image : C.Image.t) =
   let world = app.Apps.App.make_world () in
   world.Apps.App.prepare ();
@@ -199,44 +181,32 @@ let clean_protected (app : Apps.App.t) (image : C.Image.t) =
   in
   Snapshot.protected_ r.Mon.Runner.bus image
 
+(* The store image's clean references: the pipeline's memoized
+   marked-baseline and protected runs.  [mapped] is the device-presence
+   probe: it restricts MMIO/PPB targets to addresses the campaign
+   machine actually maps (the marked baseline's bus carries its device
+   set), so a vanilla escape is a real peripheral write, not an
+   unmapped-bus crash. *)
+let clean_runs c =
+  let bm = P.baseline_marked c in
+  P.reraise bm.P.b_err;
+  let p = P.protected_ c in
+  P.reraise p.P.p_err;
+  let mapped addr =
+    Option.is_some (M.Bus.find_device bm.P.b_run.Mon.Runner.b_bus addr)
+  in
+  (mapped, bm, Snapshot.protected_ p.P.p_run.Mon.Runner.bus (P.image c))
+
 (* --- the campaign -------------------------------------------------------- *)
 
-let compile (app : Apps.App.t) = P.image (P.ctx app)
-
-let run_app ?backend ?image (app : Apps.App.t) : matrix =
+let run_app ?backend (app : Apps.App.t) : matrix =
   let c = P.ctx ?backend app in
-  let image = match image with Some i -> i | None -> P.image c in
-  let pipelined = image == P.image c in
-  (* device-presence probe: restrict MMIO/PPB targets to addresses the
-     campaign machine actually maps, so a vanilla escape is a real
-     peripheral write, not an unmapped-bus crash.  The pipeline's
-     marked-baseline bus carries the same device set the probe used to
-     build privately. *)
-  let mapped, clean_b, clean_p =
-    if pipelined then begin
-      let bm = P.baseline_marked c in
-      P.reraise bm.P.b_err;
-      let p = P.protected_ c in
-      P.reraise p.P.p_err;
-      let map = bm.P.b_run.Mon.Runner.b_layout.E.Vanilla_layout.map in
-      ( (fun addr ->
-          Option.is_some
-            (M.Bus.find_device bm.P.b_run.Mon.Runner.b_bus addr)),
-        Snapshot.baseline bm.P.b_run.Mon.Runner.b_bus ~map
-          app.Apps.App.program,
-        Snapshot.protected_ p.P.p_run.Mon.Runner.bus image )
-    end
-    else begin
-      let world = app.Apps.App.make_world () in
-      let probe =
-        Mon.Runner.prepare_baseline ~devices:world.Apps.App.devices
-          ~board:app.Apps.App.board app.Apps.App.program
-      in
-      ( (fun addr ->
-          Option.is_some (M.Bus.find_device probe.Mon.Runner.b_bus addr)),
-        clean_baseline app image,
-        clean_protected app image )
-    end
+  let image = P.image c in
+  let mapped, bm, clean_p = clean_runs c in
+  let clean_b =
+    Snapshot.baseline bm.P.b_run.Mon.Runner.b_bus
+      ~map:bm.P.b_run.Mon.Runner.b_layout.E.Vanilla_layout.map
+      app.Apps.App.program
   in
   let injections = Planner.select (Planner.plan ~mapped image) in
   let oracles =
@@ -270,16 +240,10 @@ let run_app ?backend ?image (app : Apps.App.t) : matrix =
 let run_opec_only ?backend ?image (app : Apps.App.t) =
   let c = P.ctx ?backend app in
   let image = match image with Some i -> i | None -> P.image c in
-  let pipelined = image == P.image c in
   let mapped, clean_p =
-    if pipelined then begin
-      let bm = P.baseline_marked c in
-      P.reraise bm.P.b_err;
-      let p = P.protected_ c in
-      P.reraise p.P.p_err;
-      ( (fun addr ->
-          Option.is_some (M.Bus.find_device bm.P.b_run.Mon.Runner.b_bus addr)),
-        Snapshot.protected_ p.P.p_run.Mon.Runner.bus image )
+    if image == P.image c then begin
+      let mapped, _, clean_p = clean_runs c in
+      (mapped, clean_p)
     end
     else begin
       let world = app.Apps.App.make_world () in

@@ -36,24 +36,17 @@ type matrix = {
       (** row-major: for each injection, one cell per defense *)
 }
 
-(** Compile an app with its developer input (the campaign's image) —
-    memoized through the compile-once artifact pipeline. *)
-val compile : Opec_apps.App.t -> Opec_core.Image.t
-
-(** Run the full matrix for one app ([image] defaults to
-    {!compile}[ app]; [backend] selects the enforcement backend the
-    OPEC column runs under, default MPU).  With the store's own image
-    the clean reference runs are the pipeline's memoized artifacts; a
-    foreign [image] falls back to private runs. *)
-val run_app :
-  ?backend:Opec_machine.Backend.kind ->
-  ?image:Opec_core.Image.t ->
-  Opec_apps.App.t ->
-  matrix
+(** Run the full matrix for one app against the pipeline's image of it
+    ([backend] selects the enforcement backend the OPEC column runs
+    under, default MPU); the clean reference runs are the pipeline's
+    memoized artifacts. *)
+val run_app : ?backend:Opec_machine.Backend.kind -> Opec_apps.App.t -> matrix
 
 (** The OPEC column alone: every planned injection against the real
     monitor, no vanilla/ACES baseline cells.  The fuzz harness's
-    containment oracle — it only needs the "all Blocked" verdict. *)
+    containment oracle — it only needs the "all Blocked" verdict.
+    [image] defaults to the pipeline's image; a foreign image (the fuzz
+    defect gate's) runs its clean reference privately. *)
 val run_opec_only :
   ?backend:Opec_machine.Backend.kind ->
   ?image:Opec_core.Image.t ->

@@ -9,7 +9,15 @@ type fig9_row = {
 
 val fig9_average : fig9_row list -> fig9_row
 
-(** Run one workload baseline + protected and derive its Figure 9 row. *)
+(** Figure 9's runtime overhead: (protected - baseline) / baseline, in
+    percent. *)
+val runtime_overhead_pct :
+  baseline:Opec_pipeline.Pipeline.baseline ->
+  protected_:Opec_pipeline.Pipeline.protected_result ->
+  float
+
+(** Derive one workload's Figure 9 row from the pipeline's memoized
+    baseline and protected runs (re-raising a run that died). *)
 val fig9_of_app : Opec_apps.App.t -> fig9_row
 
 type t2_row = {
@@ -20,14 +28,6 @@ type t2_row = {
   so : float;       (** SRAM overhead, % of device SRAM *)
   pac : float;      (** privileged application code, % *)
 }
-
-val t2_opec :
-  Opec_apps.App.t -> baseline:Workload.baseline_result ->
-  protected_:Workload.protected_result -> t2_row
-
-val t2_aces :
-  Opec_apps.App.t -> Opec_aces.Strategy.kind ->
-  baseline:Workload.baseline_result -> t2_row
 
 (** The four policy rows of one application. *)
 val table2_of_app : Opec_apps.App.t -> t2_row list

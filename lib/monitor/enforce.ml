@@ -2,30 +2,25 @@
    fault-time virtualization over whatever protection state the bus
    carries.
 
-   The MPU arm routes through {!Mpu_install} and reproduces the original
-   monitor behaviour exactly (including stale-slot clearing and the
-   round-robin rotation arithmetic); PMP rotates overflowed peripheral
-   windows through its wider entry table; POE never evicts a window —
-   it recycles permission keys onto the faulting keyless window; CHERI
-   grants are always fully resident, so a capability fault is always a
-   real violation. *)
+   Installation is one {!C.Backend_plan.install} call for every
+   backend.  The MPU rotates overflowed peripheral regions round-robin
+   through its reserved slots; PMP rotates them through its wider entry
+   table; POE never evicts a window — it recycles permission keys onto
+   the faulting keyless window; CHERI grants are always fully resident,
+   so a capability fault is always a real violation. *)
 
 module C = Opec_core
 module M = Opec_machine
 module Obs = Opec_obs
 
 let install st ~(image : C.Image.t) ~(meta : C.Metadata.op_meta) ~srd =
-  match st with
-  | M.Backend.Mpu_state mpu -> Mpu_install.install mpu ~image ~meta ~srd
-  | _ ->
-    let heap =
-      if meta.C.Metadata.uses_heap then
-        image.C.Image.layout.C.Layout.heap_section
-      else None
-    in
-    C.Backend_plan.install st ~code_base:image.C.Image.code_base
-      ~code_bytes:image.C.Image.code_bytes ~layout:image.C.Image.layout ~srd
-      ?heap meta.C.Metadata.section meta.C.Metadata.op
+  let heap =
+    if meta.C.Metadata.uses_heap then image.C.Image.layout.C.Layout.heap_section
+    else None
+  in
+  C.Backend_plan.install st ~code_base:image.C.Image.code_base
+    ~code_bytes:image.C.Image.code_bytes ~layout:image.C.Image.layout ~srd
+    ?heap meta.C.Metadata.section meta.C.Metadata.op
 
 (* One fault-time rotation: which slot (region / entry / key) was
    rotated, what it evicted, and what is now resident there. *)

@@ -615,12 +615,15 @@ let exit_operation t ~(entry : Func.t) =
 (* An inactive thread's operation-context stack. *)
 type thread_snapshot = frame list
 
-let initial_snapshot t =
+(* The default operation at the top of an empty stack: where [init]
+   starts the program and where every spawned thread starts. *)
+let default_frame t =
   let dop = C.Image.default_op t.image in
-  let meta = meta_exn t dop.C.Operation.name in
-  [ { op = dop; meta; srd = 0;
-      saved_sp = t.image.C.Image.map.Opec_exec.Address_map.stack_top;
-      relocated = []; virt_next = 0 } ]
+  { op = dop; meta = meta_exn t dop.C.Operation.name; srd = 0;
+    saved_sp = t.image.C.Image.map.Opec_exec.Address_map.stack_top;
+    relocated = []; virt_next = 0 }
+
+let initial_snapshot t = [ default_frame t ]
 
 (* The single-core context switch of Section 7: write back the previous
    thread's operation shadows, adopt the next thread's context, refill
@@ -770,13 +773,8 @@ let init t =
         meta.C.Metadata.shadow_slots)
     image.C.Image.metas;
   (* start in the default operation *)
-  let dop = C.Image.default_op image in
-  let meta = meta_exn t dop.C.Operation.name in
-  let frame =
-    { op = dop; meta; srd = 0;
-      saved_sp = image.C.Image.map.Opec_exec.Address_map.stack_top;
-      relocated = []; virt_next = 0 }
-  in
+  let frame = default_frame t in
+  let meta = frame.meta in
   t.frames <- [ frame ];
   sync_in t meta;
   update_reloc_table t meta;
@@ -788,7 +786,7 @@ let init t =
   M.Cpu.drop_privilege t.bus.M.Bus.cpu;
   (* one-time cost, recorded as its own kind so it never counts as a
      switch in the [Stats.switches] reconciliation *)
-  emit_span t r Obs.Sink.Init ~src:"" ~dst:dop.C.Operation.name
+  emit_span t r Obs.Sink.Init ~src:"" ~dst:frame.op.C.Operation.name
 
 (* --- the interpreter-facing handler -------------------------------------- *)
 

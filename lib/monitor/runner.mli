@@ -12,7 +12,9 @@ type protected_run = {
 }
 
 (** Build a protected run without starting it: machine + devices + core
-    peripherals + loaded image + monitor-backed interpreter.
+    peripherals + loaded image + monitor-backed interpreter, with the
+    CPU's stack pointer, base and limit set to the image's stack region
+    — ready for [Monitor.init] and [Interp.run ~reset_stack:false].
     [wrap_handler] interposes on the monitor's trap handler — used by
     instrumentation such as the attack-injection campaign; [sink]
     attaches one telemetry collector to both the monitor and the

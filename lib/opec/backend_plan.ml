@@ -216,7 +216,10 @@ let install_poe p ~code_base ~code_bytes ~stack_base ~stack_limit ?heap
 
 (* --- dispatch ------------------------------------------------------------- *)
 
-(* Install the operation's plan on whatever backend the machine carries.
+(* Install the operation's plan on whatever backend the machine carries
+   — the monitor's one installation path.  Every backend starts from a
+   cleared table, so nothing of the previous operation's plan survives
+   (on the MPU, no reserved peripheral slot keeps a stale region).
    Returns the planned peripheral windows that are not resident (MPU /
    PMP overflow, rotated in by the monitor); CHERI and POE plans are
    always fully resident ([] — POE's keyless windows are resident, only

@@ -32,8 +32,9 @@ val poe_key_opdata : int
 val poe_key_first_free : int
 
 (** Install the operation's plan on whatever backend the machine
-    carries; returns the planned peripheral windows left non-resident
-    (MPU/PMP overflow; always [[]] for CHERI and POE). *)
+    carries, replacing everything the previous plan installed; returns
+    the planned peripheral windows left non-resident (MPU/PMP overflow;
+    always [[]] for CHERI and POE). *)
 val install :
   M.Backend.state ->
   code_base:int ->

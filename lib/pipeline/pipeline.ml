@@ -322,50 +322,49 @@ let run_to_end run =
    memoized failing run is indistinguishable from a fresh one. *)
 let reraise = function None -> () | Some e -> raise e
 
-let run_baseline_with c ~entries ?(traced = true) ~mem stage =
+(* Build and run one baseline on a fresh world — the one builder every
+   baseline stage memoizes.  [entries] marks operation entry functions;
+   [traced] keeps the function trace; [mem] adds per-access events. *)
+let baseline_stage c stage ~entries ~traced ~mem =
   let app = c.app in
-  get c stage (fun () ->
-      let world = app.Apps.App.make_world () in
-      world.Apps.App.prepare ();
-      let r =
-        Mon.Runner.prepare_baseline ~devices:world.Apps.App.devices ~entries
-          ~engine:(Atomic.get engine) ~board:app.Apps.App.board
-          app.Apps.App.program
-      in
-      if not traced then
-        (E.Interp.trace r.Mon.Runner.b_interp).E.Trace.enabled <- false;
-      if mem then (E.Interp.trace r.Mon.Runner.b_interp).E.Trace.mem <- true;
-      let err = run_to_end (fun () -> E.Interp.run r.Mon.Runner.b_interp) in
-      let tr = E.Interp.trace r.Mon.Runner.b_interp in
-      let events = E.Trace.events tr in
-      (* artifacts live for the process; keep one copy of the (possibly
-         huge) event stream, not the interpreter's internal one too *)
-      E.Trace.clear tr;
-      A_baseline
-        { b_run = r;
-          b_err = err;
-          b_cycles = E.Interp.cycles r.Mon.Runner.b_interp;
-          b_events = events;
-          b_check = world.Apps.App.check ();
-          b_flash = r.Mon.Runner.b_layout.E.Vanilla_layout.flash_used;
-          b_sram = r.Mon.Runner.b_layout.E.Vanilla_layout.sram_used })
+  match
+    get c stage (fun () ->
+        let world = app.Apps.App.make_world () in
+        world.Apps.App.prepare ();
+        let r =
+          Mon.Runner.prepare_baseline ~devices:world.Apps.App.devices ~entries
+            ~engine:(Atomic.get engine) ~board:app.Apps.App.board
+            app.Apps.App.program
+        in
+        let tr = E.Interp.trace r.Mon.Runner.b_interp in
+        tr.E.Trace.enabled <- traced;
+        tr.E.Trace.mem <- mem;
+        let err = run_to_end (fun () -> E.Interp.run r.Mon.Runner.b_interp) in
+        let events = E.Trace.events tr in
+        (* artifacts live for the process; keep one copy of the (possibly
+           huge) event stream, not the interpreter's internal one too *)
+        E.Trace.clear tr;
+        A_baseline
+          { b_run = r;
+            b_err = err;
+            b_cycles = E.Interp.cycles r.Mon.Runner.b_interp;
+            b_events = events;
+            b_check = world.Apps.App.check ();
+            b_flash = r.Mon.Runner.b_layout.E.Vanilla_layout.flash_used;
+            b_sram = r.Mon.Runner.b_layout.E.Vanilla_layout.sram_used })
+  with
+  | A_baseline b -> b
+  | _ -> assert false
 
 (* The plain unprotected baseline (no operation entries marked). *)
 let baseline c =
-  match run_baseline_with c ~entries:[] ~mem:false "baseline" with
-  | A_baseline b -> b
-  | _ -> assert false
+  baseline_stage c "baseline" ~entries:[] ~traced:true ~mem:false
 
 (* The plain baseline with the function trace off: the host-time
    counterpart of {!protected_}, which runs untraced too.  Cycle counts
    equal {!baseline}'s. *)
 let baseline_untraced c =
-  match
-    run_baseline_with c ~entries:[] ~traced:false ~mem:false
-      "baseline-untraced"
-  with
-  | A_baseline b -> b
-  | _ -> assert false
+  baseline_stage c "baseline-untraced" ~entries:[] ~traced:false ~mem:false
 
 (* The baseline traced at memory-access granularity — the lint oracle's
    raw material.  A separate stage from {!baseline}: access events are
@@ -373,9 +372,7 @@ let baseline_untraced c =
    them; mem-tracing charges no cycles, so both stages report identical
    cycle counts. *)
 let baseline_traced c =
-  match run_baseline_with c ~entries:[] ~mem:true "baseline-traced" with
-  | A_baseline b -> b
-  | _ -> assert false
+  baseline_stage c "baseline-traced" ~entries:[] ~traced:true ~mem:true
 
 (* Baseline with the image's operation entries marked, so its cycle
    accounting matches runs that trap at switch points (the attack
@@ -383,44 +380,37 @@ let baseline_traced c =
    state of the machine, never the event stream. *)
 let baseline_marked c =
   let entries = (image c).C.Image.entries in
-  match
-    run_baseline_with c ~entries ~traced:false ~mem:false "baseline-marked"
-  with
-  | A_baseline b -> b
-  | _ -> assert false
+  baseline_stage c "baseline-marked" ~entries ~traced:false ~mem:false
 
-let run_protected_with c ~traced stage =
+(* Build, initialize and run [image] on a fresh world — the one builder
+   every protected stage memoizes.  [traced] keeps the function trace;
+   [sink] receives the run's telemetry. *)
+let run_protected c image ~traced ?sink () =
+  let world = c.app.Apps.App.make_world () in
+  world.Apps.App.prepare ();
+  let r =
+    Mon.Runner.prepare ~devices:world.Apps.App.devices
+      ~engine:(Atomic.get engine) ?sink image
+  in
+  let tr = E.Interp.trace r.Mon.Runner.interp in
+  tr.E.Trace.enabled <- traced;
+  Mon.Monitor.init r.Mon.Runner.monitor;
+  let err =
+    run_to_end (fun () -> E.Interp.run ~reset_stack:false r.Mon.Runner.interp)
+  in
+  let events = E.Trace.events tr in
+  E.Trace.clear tr;
+  { p_run = r;
+    p_err = err;
+    p_cycles = E.Interp.cycles r.Mon.Runner.interp;
+    p_events = events;
+    p_check = world.Apps.App.check ();
+    p_stats = Mon.Monitor.stats r.Mon.Runner.monitor }
+
+let protected_stage c stage ~traced =
   let image = image c in
-  let app = c.app in
   match
-    get c stage (fun () ->
-        let world = app.Apps.App.make_world () in
-        world.Apps.App.prepare ();
-        let r =
-          Mon.Runner.prepare ~devices:world.Apps.App.devices
-            ~engine:(Atomic.get engine) image
-        in
-        if not traced then
-          (E.Interp.trace r.Mon.Runner.interp).E.Trace.enabled <- false;
-        let cpu = r.Mon.Runner.bus.M.Bus.cpu in
-        cpu.M.Cpu.sp <- image.C.Image.map.E.Address_map.stack_top;
-        cpu.M.Cpu.stack_base <- image.C.Image.map.E.Address_map.stack_base;
-        cpu.M.Cpu.stack_limit <- image.C.Image.map.E.Address_map.stack_top;
-        Mon.Monitor.init r.Mon.Runner.monitor;
-        let err =
-          run_to_end (fun () ->
-              E.Interp.run ~reset_stack:false r.Mon.Runner.interp)
-        in
-        let tr = E.Interp.trace r.Mon.Runner.interp in
-        let events = E.Trace.events tr in
-        E.Trace.clear tr;
-        A_protected
-          { p_run = r;
-            p_err = err;
-            p_cycles = E.Interp.cycles r.Mon.Runner.interp;
-            p_events = events;
-            p_check = world.Apps.App.check ();
-            p_stats = Mon.Monitor.stats r.Mon.Runner.monitor })
+    get c stage (fun () -> A_protected (run_protected c image ~traced ()))
   with
   | A_protected p -> p
   | _ -> assert false
@@ -429,11 +419,11 @@ let run_protected_with c ~traced stage =
    count, check result, and monitor statistics, never its events.
    Tracing charges no cycles, so {!protected_traced} agrees with it
    bit-for-bit on every number. *)
-let protected_ c = run_protected_with c ~traced:false "protected"
+let protected_ c = protected_stage c "protected" ~traced:false
 
 (* The protected run with its call/switch event stream kept — the
    [opec trace] command's and the differential tests' raw material. *)
-let protected_traced c = run_protected_with c ~traced:true "protected-traced"
+let protected_traced c = protected_stage c "protected-traced" ~traced:true
 
 (* The protected run with a telemetry collector attached — the [opec
    trace] exporters' and [bench obs]'s raw material.  Function-granularity
@@ -442,32 +432,18 @@ let protected_traced c = run_protected_with c ~traced:true "protected-traced"
    cycles and statistics are bit-identical to {!protected_}. *)
 let protected_obs c =
   let image = image c in
-  let app = c.app in
   match
     get c "protected-obs" (fun () ->
-        let world = app.Apps.App.make_world () in
-        world.Apps.App.prepare ();
         let buf = Obs.Sink.Memory.create () in
-        let r =
-          Mon.Runner.prepare ~devices:world.Apps.App.devices
-            ~engine:(Atomic.get engine)
-            ~sink:(Obs.Sink.Memory.sink buf) image
-        in
-        (E.Interp.trace r.Mon.Runner.interp).E.Trace.enabled <- false;
-        let cpu = r.Mon.Runner.bus.M.Bus.cpu in
-        cpu.M.Cpu.sp <- image.C.Image.map.E.Address_map.stack_top;
-        cpu.M.Cpu.stack_base <- image.C.Image.map.E.Address_map.stack_base;
-        cpu.M.Cpu.stack_limit <- image.C.Image.map.E.Address_map.stack_top;
-        Mon.Monitor.init r.Mon.Runner.monitor;
-        let err =
-          run_to_end (fun () ->
-              E.Interp.run ~reset_stack:false r.Mon.Runner.interp)
+        let p =
+          run_protected c image ~traced:false ~sink:(Obs.Sink.Memory.sink buf)
+            ()
         in
         A_obs
-          { o_err = err;
-            o_cycles = E.Interp.cycles r.Mon.Runner.interp;
-            o_stats = Mon.Monitor.stats r.Mon.Runner.monitor;
-            o_switches = E.Interp.switches r.Mon.Runner.interp;
+          { o_err = p.p_err;
+            o_cycles = p.p_cycles;
+            o_stats = p.p_stats;
+            o_switches = E.Interp.switches p.p_run.Mon.Runner.interp;
             o_events = Obs.Sink.Memory.events buf })
   with
   | A_obs o -> o

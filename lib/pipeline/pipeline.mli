@@ -19,7 +19,8 @@ type baseline = {
   b_cycles : int64;
   b_events : Opec_exec.Trace.event list;
       (** the run's trace; includes [Access] events only for
-          {!baseline_traced}, and is empty for {!baseline_marked} *)
+          {!baseline_traced}, and is empty for the untraced stages
+          ({!baseline_untraced}, {!baseline_marked}) *)
   b_check : (unit, string) result;
   b_flash : int;
   b_sram : int;

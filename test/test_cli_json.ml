@@ -118,6 +118,20 @@ let test_replay_truncated () =
   Alcotest.(check bool) ("error names the file: " ^ msg) true (contains path);
   Alcotest.(check bool) "no internal error" false (contains "internal error")
 
+(* An event target below 1 is a usage error (cmdliner's exit 124), not
+   a one-event run that reports success. *)
+let test_load_events_below_one () =
+  List.iter
+    (fun n ->
+      let code =
+        Sys.command
+          (Filename.quote_command cli
+             [ "load"; "--events=" ^ n; "request-storm" ]
+             ~stdout:Filename.null ~stderr:Filename.null)
+      in
+      Alcotest.(check int) ("--events=" ^ n ^ ": exit status 124") 124 code)
+    [ "-5"; "0" ]
+
 let suite () =
   [ ( "cli-json",
       [ Alcotest.test_case "syncsets --json is pure JSON" `Slow
@@ -143,4 +157,6 @@ let suite () =
         Alcotest.test_case "syncsets --json names decode exactly" `Slow
           test_syncsets_names;
         Alcotest.test_case "fuzz --replay of a truncated file" `Slow
-          test_replay_truncated ] ) ]
+          test_replay_truncated;
+        Alcotest.test_case "load --events below 1 is a usage error" `Slow
+          test_load_events_below_one ] ) ]

@@ -6,6 +6,7 @@ open Opec_ir
 open Build
 module E = Expr
 module Met = Opec_metrics
+module P = Opec_pipeline.Pipeline
 module SS = Set.Make (String)
 
 let close name expected actual =
@@ -93,7 +94,7 @@ let test_et_equation () =
 
 let opec_image () =
   let app = Opec_apps.Registry.pinlock ~rounds:2 () in
-  (app, Met.Workload.compile app)
+  (app, P.image (P.ctx app))
 
 let test_opec_pt_zero () =
   let _, image = opec_image () in
@@ -106,11 +107,16 @@ let test_opec_pt_zero () =
 
 let test_et_bounds_and_dominance () =
   let app, image = opec_image () in
-  let baseline = Met.Workload.run_baseline app in
-  (match baseline.Met.Workload.b_check with
+  let baseline = P.baseline (P.ctx app) in
+  P.reraise baseline.P.b_err;
+  (match baseline.P.b_check with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  let task_instances = Met.Workload.task_instances app baseline in
+  let task_instances =
+    Opec_exec.Trace.tasks_of
+      ~entries:(Opec_apps.App.task_entries app)
+      baseline.P.b_events
+  in
   Alcotest.(check bool) "tasks were observed" true (task_instances <> []);
   let opec_et = Met.Overprivilege.opec_et image ~task_instances in
   List.iter

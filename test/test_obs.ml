@@ -50,21 +50,39 @@ let check_app (app : Apps.App.t) =
 
 let test_counter_drift () = List.iter check_app (Apps.Registry.all_small ())
 
-(* Attaching the telemetry sink must not perturb the run: same cycles,
-   same statistics as the untelemetered protected reference. *)
+(* Tracing and telemetry must not perturb a run: every protected stage
+   reports the cycles and statistics of the untraced protected reference,
+   and every plain baseline stage the cycles, check result, and footprint
+   of the function-traced baseline — which is what lets one builder serve
+   all of them. *)
 let test_cycle_identity () =
   List.iter
     (fun (app : Apps.App.t) ->
       let c = P.ctx app in
+      let chk what = app.Apps.App.app_name ^ ": " ^ what in
+      let stats s = Fmt.str "%a" Mon.Stats.pp s in
       let p = P.protected_ c in
+      let t = P.protected_traced c in
       let o = P.protected_obs c in
-      Alcotest.(check int64)
-        (app.Apps.App.app_name ^ ": cycles identical")
-        p.P.p_cycles o.P.o_cycles;
-      Alcotest.(check string)
-        (app.Apps.App.app_name ^ ": stats identical")
-        (Fmt.str "%a" Mon.Stats.pp p.P.p_stats)
-        (Fmt.str "%a" Mon.Stats.pp o.P.o_stats))
+      List.iter
+        (fun (stage, cycles, st) ->
+          Alcotest.(check int64) (chk stage ^ " cycles") p.P.p_cycles cycles;
+          Alcotest.(check string) (chk stage ^ " stats") (stats p.P.p_stats)
+            (stats st))
+        [ ("protected-traced", t.P.p_cycles, t.P.p_stats);
+          ("protected-obs", o.P.o_cycles, o.P.o_stats) ];
+      let b = P.baseline c in
+      let check = function Ok () -> "ok" | Error e -> e in
+      List.iter
+        (fun (stage, (v : P.baseline)) ->
+          Alcotest.(check int64) (chk stage ^ " cycles") b.P.b_cycles
+            v.P.b_cycles;
+          Alcotest.(check string) (chk stage ^ " check") (check b.P.b_check)
+            (check v.P.b_check);
+          Alcotest.(check int) (chk stage ^ " flash") b.P.b_flash v.P.b_flash;
+          Alcotest.(check int) (chk stage ^ " sram") b.P.b_sram v.P.b_sram)
+        [ ("baseline-untraced", P.baseline_untraced c);
+          ("baseline-traced", P.baseline_traced c) ])
     (Apps.Registry.all_small ())
 
 (* ---- exporter reconciliation --------------------------------------- *)

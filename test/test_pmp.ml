@@ -106,7 +106,25 @@ let test_plan_translation () =
        ~access:M.Fault.Write);
   Alcotest.(check bool) "code executable" true
     (allowed pmp ~privileged:false ~addr:image.C.Image.code_base
-       ~access:M.Fault.Execute)
+       ~access:M.Fault.Execute);
+  (* switching from task_a to the peripheral-free task_b on the MPU
+     leaves no reserved peripheral slot holding task_a's UART region *)
+  let mpu = M.Mpu.create () in
+  List.iter
+    (fun entry ->
+      ignore
+        (C.Backend_plan.install (M.Backend.Mpu_state mpu)
+           ~code_base:image.C.Image.code_base
+           ~code_bytes:image.C.Image.code_bytes ~layout ~srd:0
+           (C.Layout.section_of layout entry)
+           (Option.get (C.Image.op_of_entry image entry))))
+    [ "task_a"; "task_b" ];
+  for slot = C.Config.peripheral_region_first
+      to C.Config.peripheral_region_first + C.Config.peripheral_region_count - 1
+  do
+    Alcotest.(check bool) (Printf.sprintf "MPU slot %d cleared" slot) true
+      (M.Mpu.get mpu slot = None)
+  done
 
 (* differential property: for random addresses and accesses, the PMP
    translation is at least as restrictive as the MPU plan for
@@ -123,17 +141,16 @@ let prop_pmp_no_more_permissive =
   let image = C.Compiler.compile p (C.Dev_input.v [ "t" ]) in
   let op = Option.get (C.Image.op_of_entry image "t") in
   let layout = image.C.Image.layout in
+  let install st =
+    ignore
+      (C.Backend_plan.install st ~code_base:image.C.Image.code_base
+         ~code_bytes:image.C.Image.code_bytes ~layout ~srd:0
+         (C.Layout.section_of layout "t") op)
+  in
   let mpu = M.Mpu.create () in
-  ignore
-    (C.Mpu_plan.install mpu ~code_base:image.C.Image.code_base
-       ~code_bytes:image.C.Image.code_bytes
-       ~stack_base:layout.C.Layout.stack_base ~srd:0
-       (C.Layout.section_of layout "t") op);
+  install (M.Backend.Mpu_state mpu);
   let pmp = Pmp.create () in
-  ignore
-    (C.Backend_plan.install (M.Backend.Pmp_state pmp)
-       ~code_base:image.C.Image.code_base ~code_bytes:image.C.Image.code_bytes
-       ~layout ~srd:0 (C.Layout.section_of layout "t") op);
+  install (M.Backend.Pmp_state pmp);
   QCheck.Test.make ~name:"PMP translation is no more permissive (writes)"
     ~count:300
     QCheck.(int_bound 0x2FFF)
