@@ -310,9 +310,14 @@ let ablation () =
               Opec_core.Operation.SS.cardinal
                 op.C.Operation.resources.Opec_analysis.Resource.peripherals
             in
+            let budget =
+              Option.bind
+                (C.Image.meta_of image op.C.Operation.name)
+                (C.Backend_plan.periph_budget image.C.Image.backend)
+            in
             ( m + regions,
               n + periphs,
-              o + if regions > C.Config.peripheral_region_count then 1 else 0 ))
+              o + match budget with Some b when regions > b -> 1 | _ -> 0 ))
           (0, 0, 0) image.C.Image.ops
       in
       say "   %-10s merged regions: %2d  naive regions: %2d  ops needing virtualization: %d"

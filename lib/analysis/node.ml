@@ -26,5 +26,3 @@ let as_periph n =
   if String.length n > 2 && n.[0] = 'P' then Some (String.sub n 2 (String.length n - 2))
   else None
 
-let is_object n =
-  match n.[0] with 'G' | 'F' | 'S' | 'P' -> true | _ -> false

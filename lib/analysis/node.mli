@@ -22,6 +22,3 @@ val as_global : t -> string option
 val as_func : t -> string option
 val as_periph : t -> string option
 
-(** Globals, functions, stack slots, and peripherals are objects; locals
-    and return nodes are pointer variables. *)
-val is_object : t -> bool

@@ -96,7 +96,6 @@ let out_set t name = find_exn "out set" t.out_sets name
 let enter_set t name = find_exn "enter set" t.enter_sets name
 let relevant_set t name = find_exn "relevant set" t.relevant_sets name
 let ro_set t name = find_exn "read-only set" t.ro_sets name
-let fill_set t name = find_exn "fill set" t.fill_sets name
 let unobserved_set t name = find_exn "unobserved set" t.unobserved_sets name
 let escaped t = t.escaped
 let conservative_resume t = t.conservative_resume

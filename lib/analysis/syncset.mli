@@ -74,11 +74,6 @@ val relevant_set : t -> string -> SS.t
     from every copy schedule. *)
 val ro_set : t -> string -> SS.t
 
-(** Slots whose shadow must be fresh when the operation starts:
-    relevant minus RO minus killed, plus escaped and sanitized
-    slots. *)
-val fill_set : t -> string -> SS.t
-
 (** May-written slots of the operation that no other operation can
     observe: excluded from its OUT set (dead publish). *)
 val unobserved_set : t -> string -> SS.t

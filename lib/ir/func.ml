@@ -25,10 +25,6 @@ let arity f = List.length f.params
    is the parameter shape. *)
 let signature f = List.map snd f.params
 
-let signature_matches f tys =
-  List.length tys = arity f
-  && List.for_all2 Ty.signature_equal (signature f) tys
-
 let pp fmt f =
   Fmt.pf fmt "@[<v 2>func %s(%a) [%s] {@,%a@]@,}" f.name
     (Fmt.list ~sep:(Fmt.any ", ")

@@ -23,8 +23,4 @@ val arity : t -> int
 (** Parameter type shape used by the type-based icall matching. *)
 val signature : t -> Ty.t list
 
-(** [signature_matches f tys] holds when [f] could be a target of an
-    indirect call whose arguments have shapes [tys]. *)
-val signature_matches : t -> Ty.t list -> bool
-
 val pp : Format.formatter -> t -> unit

@@ -30,11 +30,6 @@ let func_exn p name =
   | Some f -> f
   | None -> raise (Ill_formed (Printf.sprintf "undefined function %s" name))
 
-let global_exn p name =
-  match find_global p name with
-  | Some g -> g
-  | None -> raise (Ill_formed (Printf.sprintf "undefined global %s" name))
-
 (* Static well-formedness: every referenced function and global exists,
    names are unique, main is defined, peripheral ranges do not overlap. *)
 let validate p =
@@ -101,9 +96,6 @@ let validate p =
 
 let v ?(name = "firmware") ?(main = "main") ~globals ~peripherals ~funcs () =
   validate { name; globals; peripherals; funcs; main }
-
-let data_globals p = List.filter (fun (g : Global.t) -> not g.const) p.globals
-let const_globals p = List.filter (fun (g : Global.t) -> g.const) p.globals
 
 (* Code-size model used for flash accounting: one structured IR
    instruction stands for a C statement, i.e. a handful of Thumb2

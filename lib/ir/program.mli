@@ -24,8 +24,6 @@ val find_global : t -> string -> Global.t option
 (** Like the [find_*] accessors but raising {!Ill_formed}. *)
 val func_exn : t -> string -> Func.t
 
-val global_exn : t -> string -> Global.t
-
 (** Check static well-formedness: unique names, no dangling references,
     [main] defined, peripheral ranges disjoint.  Returns the program. *)
 val validate : t -> t
@@ -39,9 +37,6 @@ val v :
   funcs:Func.t list ->
   unit ->
   t
-
-val data_globals : t -> Global.t list
-val const_globals : t -> Global.t list
 
 (** Code-size model for flash accounting: {!bytes_per_instr} bytes per
     structured instruction (one C statement is a handful of Thumb2

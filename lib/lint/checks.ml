@@ -113,6 +113,32 @@ let covered regions (lo, hi) =
   in
   List.rev (go (lo land lnot 31) [])
 
+(* The operation's planned peripheral windows beyond the backend's
+   resident budget — the same budget the installer fills and the
+   monitor's rotation cycles through — reported as an info. *)
+let budget_overflow kind ~opn (meta : C.Metadata.op_meta) =
+  let n = List.length meta.periph_regions in
+  match C.Backend_plan.periph_budget kind meta with
+  | Some slots when n > slots ->
+    let what, rest =
+      match kind with
+      | M.Backend.Pmp ->
+        ( "windows",
+          "available PMP entries; the overflow is virtualized by the monitor \
+           at runtime" )
+      | M.Backend.Poe ->
+        ( "windows",
+          "free POE keys; the monitor recycles keys onto keyless windows at \
+           runtime" )
+      | M.Backend.Mpu | M.Backend.Cheri ->
+        ( "regions",
+          "available slots; the overflow is virtualized by the monitor at \
+           runtime" )
+    in
+    [ Diag.vf ~code:"L003" Diag.Info (Diag.Operation opn)
+        "%d peripheral %s exceed the %d %s" n what slots rest ]
+  | _ -> []
+
 let mpu_backend_plan_validity (image : C.Image.t) =
   let fixed_region opn slot build =
     match build () with
@@ -188,19 +214,8 @@ let mpu_backend_plan_validity (image : C.Image.t) =
                     lo hi addr ])
             op.periph_ranges
         in
-        let budget =
-          let n = List.length meta.periph_regions in
-          let slots =
-            C.Config.peripheral_region_count - if meta.uses_heap then 1 else 0
-          in
-          if n > slots then
-            [ Diag.vf ~code:"L003" Diag.Info (Diag.Operation opn)
-                "%d peripheral regions exceed the %d available slots; the \
-                 overflow is virtualized by the monitor at runtime"
-                n slots ]
-          else []
-        in
-        code @ stack @ opdata @ periphs @ coverage @ budget)
+        code @ stack @ opdata @ periphs @ coverage
+        @ budget_overflow M.Backend.Mpu ~opn meta)
     image.ops
 
 (* Non-MPU backends: re-validate the plan against the backend's own
@@ -257,36 +272,7 @@ let backend_plan_validity (image : C.Image.t) =
                     lo hi addr ])
             op.periph_ranges
         in
-        let budget =
-          let n = List.length meta.C.Metadata.periph_regions in
-          match kind with
-          | M.Backend.Mpu | M.Backend.Cheri -> []
-          | M.Backend.Pmp ->
-            let slots =
-              C.Backend_plan.pmp_periph_capacity
-                ~has_section:(meta.C.Metadata.section <> None)
-                ~has_heap:meta.C.Metadata.uses_heap
-            in
-            if n > slots then
-              [ Diag.vf ~code:"L003" Diag.Info (Diag.Operation opn)
-                  "%d peripheral windows exceed the %d available PMP \
-                   entries; the overflow is virtualized by the monitor at \
-                   runtime"
-                  n slots ]
-            else []
-          | M.Backend.Poe ->
-            let keys =
-              C.Backend_plan.poe_recycle_count
-                ~has_heap:meta.C.Metadata.uses_heap
-            in
-            if n > keys then
-              [ Diag.vf ~code:"L003" Diag.Info (Diag.Operation opn)
-                  "%d peripheral windows exceed the %d free POE keys; the \
-                   monitor recycles keys onto keyless windows at runtime"
-                  n keys ]
-            else []
-        in
-        opdata @ coverage @ budget)
+        opdata @ coverage @ budget_overflow kind ~opn meta)
     image.ops
 
 let mpu_plan_validity (image : C.Image.t) =

@@ -76,9 +76,6 @@ let checkers =
           | Some (Live w) -> Oracle.check_sync ~devices:(w ()) image
           | None -> Oracle.check_sync image) } ]
 
-let find_checker code =
-  List.find_opt (fun c -> String.equal c.code code) checkers
-
 let run ?(dynamic = false) ?source image =
   List.concat_map
     (fun c -> if c.dynamic && not dynamic then [] else c.run source image)

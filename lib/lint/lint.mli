@@ -35,8 +35,6 @@ type checker = {
     row to the README table; codes are never reused. *)
 val checkers : checker list
 
-val find_checker : string -> checker option
-
 (** Run the registry over an image; [dynamic] defaults to [false]. *)
 val run : ?dynamic:bool -> ?source:source -> Opec_core.Image.t -> Diag.t list
 

@@ -30,11 +30,9 @@ type t = {
   flash : Memory.t;
   sram : Memory.t;
   mutable devices : Device.t list;
-  mpu : Mpu.t;
   mutable prot : Backend.state;
-      (** the active enforcement backend; defaults to [Mpu_state mpu],
-          the same MPU object, so legacy pokes through [mpu] stay
-          authoritative until another backend is installed *)
+      (** the active enforcement backend; a fresh, disabled MPU until
+          {!set_protection} installs another state *)
   cpu : Cpu.t;
   cache : int array;
       (** the permitted-window cache: [3 * cache_slots] entries of
@@ -51,13 +49,11 @@ let flush t =
   done
 
 let create ~(board : Memmap.board) =
-  let mpu = Mpu.create () in
   let t =
     { flash = Memory.create ~base:Memmap.flash_base ~size:board.flash_size;
       sram = Memory.create ~base:Memmap.sram_base ~size:board.sram_size;
       devices = [];
-      mpu;
-      prot = Backend.Mpu_state mpu;
+      prot = Backend.create Backend.Mpu;
       cpu = Cpu.create ();
       cache = Array.make (3 * cache_slots * entry_words) 0 }
   in

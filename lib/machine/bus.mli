@@ -15,7 +15,6 @@ type t = private {
   flash : Memory.t;
   sram : Memory.t;
   mutable devices : Device.t list;
-  mpu : Mpu.t;
   mutable prot : Backend.state;
   cpu : Cpu.t;
   cache : int array;
@@ -23,10 +22,9 @@ type t = private {
 
 val create : board:Memmap.board -> t
 
-(** Swap the enforcement backend and flush the window cache.  The
-    default is [Backend.Mpu_state] over the bus's own [mpu], so
-    MPU-backed machines behave exactly as before the backend
-    abstraction existed. *)
+(** Swap the enforcement backend and flush the window cache.  A new bus
+    carries a fresh, disabled MPU ([Backend.create Mpu]), which allows
+    every access: the unprotected baseline machine. *)
 val set_protection : t -> Backend.state -> unit
 
 val protection : t -> Backend.state

@@ -142,10 +142,3 @@ let pp_cap fmt c =
     (if c.cap_r then "r" else "-")
     (if c.cap_w then "w" else "-")
     (if c.cap_x then "x" else "-")
-
-let pp fmt t =
-  Fmt.pf fmt "@[<v>CHERI %s (%d caps)@,%a@]"
-    (if t.enforcing then "enforcing" else "off")
-    (List.length t.caps)
-    Fmt.(list ~sep:(any "@,") pp_cap)
-    t.caps

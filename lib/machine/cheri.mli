@@ -64,4 +64,3 @@ val window :
   t -> privileged:bool -> addr:int -> access:Fault.access -> int * int
 
 val pp_cap : Format.formatter -> cap -> unit
-val pp : Format.formatter -> t -> unit

@@ -24,7 +24,6 @@ let charge t n = t.cycles <- t.cycles + n
 let cycles t = Int64.of_int t.cycles
 
 let drop_privilege t = t.privileged <- false
-let raise_privilege t = t.privileged <- true
 
 (* Run [f] at the privileged level, restoring the previous level after —
    the hardware exception-entry/exit semantics the monitor relies on. *)

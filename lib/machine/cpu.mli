@@ -22,7 +22,6 @@ val charge : t -> int -> unit
 
 val cycles : t -> int64
 val drop_privilege : t -> unit
-val raise_privilege : t -> unit
 
 (** Run [f] at the privileged level, restoring the previous level —
     the exception-entry/exit semantics the monitor relies on. *)

@@ -72,7 +72,3 @@ let create ?(frame_interval = 0) name ~base =
 
 let inject_frame h frame = Queue.push frame h.rx
 let pop_transmitted h = if Queue.is_empty h.tx then None else Some (Queue.pop h.tx)
-let transmitted_count h = Queue.length h.tx
-let set_frame_interval h n =
-  h.frame_interval <- n;
-  h.gap <- n

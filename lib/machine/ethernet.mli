@@ -15,5 +15,3 @@ val create : ?frame_interval:int -> string -> base:int -> Device.t * handle
 
 val inject_frame : handle -> string -> unit
 val pop_transmitted : handle -> string option
-val transmitted_count : handle -> int
-val set_frame_interval : handle -> int -> unit

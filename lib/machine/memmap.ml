@@ -49,6 +49,3 @@ let stm32479i_eval =
     flash_size = 2 * 1024 * 1024;
     sram_size = 288 * 1024 }
 
-let pp_board fmt b =
-  Fmt.pf fmt "%s (%d KiB flash, %d KiB SRAM)" b.board_name
-    (b.flash_size / 1024) (b.sram_size / 1024)

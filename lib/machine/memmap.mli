@@ -45,4 +45,3 @@ val stm32f4_discovery : board
 (** 2 MiB flash, 288 KiB SRAM. *)
 val stm32479i_eval : board
 
-val pp_board : Format.formatter -> board -> unit

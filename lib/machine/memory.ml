@@ -63,10 +63,3 @@ let write t addr bytes v =
     raise (Fault.Bus { addr; access = Fault.Write; privileged = true });
   write_unchecked t addr bytes v
 
-let blit_out t addr len =
-  let off = addr - t.base in
-  Bytes.sub t.data off len
-
-let blit_in t addr src =
-  let off = addr - t.base in
-  Bytes.blit src 0 t.data off (Bytes.length src)

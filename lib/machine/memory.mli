@@ -21,7 +21,3 @@ val read_unchecked : t -> int -> int -> int64
 
 val write_unchecked : t -> int -> int -> int64 -> unit
 
-(** Bulk extraction/injection for loaders and tests. *)
-val blit_out : t -> int -> int -> Bytes.t
-
-val blit_in : t -> int -> Bytes.t -> unit

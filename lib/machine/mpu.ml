@@ -179,12 +179,3 @@ let pp_region fmt r =
   Fmt.pf fmt "base=0x%08X size=2^%d srd=%02X priv=%a unpriv=%a%s" r.base
     r.size_log2 r.srd pp_perm r.privileged pp_perm r.unprivileged
     (if r.executable then " X" else "")
-
-let pp fmt t =
-  Fmt.pf fmt "@[<v>MPU %s@,%a@]"
-    (if t.enabled then "enabled" else "disabled")
-    Fmt.(list ~sep:(any "@,") (fun fmt (i, r) ->
-      match r with
-      | None -> Fmt.pf fmt "  region %d: <unused>" i
-      | Some r -> Fmt.pf fmt "  region %d: %a" i pp_region r))
-    (Array.to_list (Array.mapi (fun i r -> (i, r)) t.regions))

@@ -86,4 +86,3 @@ val window : t -> addr:int -> int * int
 
 val pp_perm : Format.formatter -> perm -> unit
 val pp_region : Format.formatter -> region -> unit
-val pp : Format.formatter -> t -> unit

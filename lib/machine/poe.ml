@@ -162,20 +162,6 @@ let window t ~privileged ~addr =
     in
     go min_int max_int t.overlays
 
-let pp_perm fmt p =
-  Fmt.string fmt
-    (match p with No_access -> "NA" | Read_only -> "RO" | Read_write -> "RW")
-
 let pp_overlay fmt ov =
   Fmt.pf fmt "[0x%08X,0x%08X) key=%s" ov.ov_base ov.ov_limit
     (if ov.ov_key = no_key then "-" else string_of_int ov.ov_key)
-
-let pp fmt t =
-  Fmt.pf fmt "@[<v>POE %s@,keys: %a@,%a@]"
-    (if t.enforcing then "enforcing" else "off")
-    Fmt.(
-      list ~sep:(any " ") (fun fmt (i, p, x) ->
-          Fmt.pf fmt "%d:%a%s" i pp_perm p (if x then "x" else "")))
-    (Array.to_list (Array.mapi (fun i p -> (i, p, t.por_x.(i))) t.por))
-    Fmt.(list ~sep:(any "@,") pp_overlay)
-    t.overlays

@@ -68,4 +68,3 @@ val check :
 val window : t -> privileged:bool -> addr:int -> int * int
 
 val pp_overlay : Format.formatter -> overlay -> unit
-val pp : Format.formatter -> t -> unit

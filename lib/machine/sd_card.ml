@@ -106,4 +106,3 @@ let preload h n contents =
 
 let block h n = Bytes.to_string (get_block h n)
 let set_present h p = h.present <- p
-let set_busy_interval h n = h.busy_interval <- n

@@ -24,4 +24,3 @@ val preload : handle -> int -> string -> unit
 val block : handle -> int -> string
 
 val set_present : handle -> bool -> unit
-val set_busy_interval : handle -> int -> unit

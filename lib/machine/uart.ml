@@ -51,8 +51,6 @@ let create ?(ready_interval = 0) name ~base =
 
 let inject h s = String.iter (fun c -> Queue.push c h.rx) s
 let transmitted h = Buffer.contents h.tx
-let clear_tx h = Buffer.clear h.tx
-let rx_pending h = Queue.length h.rx
 let set_ready_interval h n =
   h.ready_interval <- n;
   h.countdown <- n

@@ -19,8 +19,5 @@ val inject : handle -> string -> unit
 (** Everything the firmware transmitted so far. *)
 val transmitted : handle -> string
 
-val clear_tx : handle -> unit
-val rx_pending : handle -> int
-
 (** Change the baud-model delay; also re-arms the countdown. *)
 val set_ready_interval : handle -> int -> unit

@@ -36,4 +36,3 @@ let create name ~base =
   (Device.v name ~base ~size:0x400 ~read ~write, h)
 
 let pop_file h = if Queue.is_empty h.files then None else Some (Queue.pop h.files)
-let file_count h = Queue.length h.files

@@ -9,4 +9,3 @@ val ctrl_open : int
 val ctrl_close : int
 val create : string -> base:int -> Device.t * handle
 val pop_file : handle -> string option
-val file_count : handle -> int

@@ -518,9 +518,17 @@ let copy_back_relocated t frame =
 (* --- protection installation --------------------------------------------- *)
 
 let install_mpu t (meta : C.Metadata.op_meta) ~srd =
+  let image = t.image in
+  let heap =
+    if meta.C.Metadata.uses_heap then image.C.Image.layout.C.Layout.heap_section
+    else None
+  in
   M.Cpu.with_privilege t.bus.M.Bus.cpu (fun () ->
       ignore
-        (Enforce.install (M.Bus.protection t.bus) ~image:t.image ~meta ~srd))
+        (C.Backend_plan.install (M.Bus.protection t.bus)
+           ~code_base:image.C.Image.code_base
+           ~code_bytes:image.C.Image.code_bytes ~layout:image.C.Image.layout
+           ~srd ?heap meta.C.Metadata.section meta.C.Metadata.op))
 
 (* --- switch protocol ----------------------------------------------------- *)
 
@@ -677,23 +685,30 @@ let handle_mem_fault t (_desc : Opec_exec.Interp.access_desc)
     (* the access is in the allow list: rotate protection onto it
        (round-robin over the backend's reserved slots / keys) *)
     match
-      Enforce.virtualize (M.Bus.protection t.bus) ~cpu:t.bus.M.Bus.cpu
-        ~meta:frame.meta ~virt_next:frame.virt_next ~addr
+      M.Cpu.with_privilege t.bus.M.Bus.cpu (fun () ->
+          C.Backend_plan.rotate (M.Bus.protection t.bus) ~meta:frame.meta
+            ~next:frame.virt_next ~addr)
     with
     | None ->
       Opec_exec.Interp.Abort
         (deny t ~info
            (Fmt.str "no planned region in %s covers permitted access: %a"
               frame.op.C.Operation.name M.Fault.pp_info info))
-    | Some sw ->
+    | Some rot ->
       frame.virt_next <- frame.virt_next + 1;
       t.stats.Stats.virt_swaps <- t.stats.Stats.virt_swaps + 1;
-      if t.sink.Obs.Sink.active then
+      if t.sink.Obs.Sink.active then begin
+        let region_id (rg_base, rg_size_log2) =
+          { Obs.Sink.rg_base; rg_size_log2 }
+        in
         t.sink.Obs.Sink.emit
           (Obs.Sink.Region_swap
-             { rs_op = frame.op.C.Operation.name; rs_slot = sw.Enforce.sw_slot;
-               rs_evicted = sw.Enforce.sw_evicted;
-               rs_installed = sw.Enforce.sw_installed; rs_at = now t });
+             { rs_op = frame.op.C.Operation.name;
+               rs_slot = rot.C.Backend_plan.slot;
+               rs_evicted = Option.map region_id rot.C.Backend_plan.evicted;
+               rs_installed = region_id rot.C.Backend_plan.installed;
+               rs_at = now t })
+      end;
       Opec_exec.Interp.Retry
   end
 

@@ -109,12 +109,6 @@ let phase_index = function
   | Sink.Relocate -> 2
   | Sink.Mpu_config -> 3
 
-let phase_of_index = function
-  | 0 -> Sink.Sanitize
-  | 1 -> Sink.Sync
-  | 2 -> Sink.Relocate
-  | _ -> Sink.Mpu_config
-
 let n_phases = 4
 
 type op_agg = {
@@ -265,11 +259,7 @@ let event_count t =
   t.switch_spans + t.init_spans + t.swap_events + t.emulation_events
   + t.denial_events + t.svc_marks
 
-(* Cycles the monitor spent in spans of any kind (switches + init). *)
-let monitor_cycles t = Int64.add t.switch_cycles t.init_cycles
-
 let phase_cycles t p = t.totals.(phase_index p).pt_cycles
-let phase_bytes t p = t.totals.(phase_index p).pt_bytes
 
 (* Ops sorted by total span cycles spent on their behalf, descending. *)
 let ops_by_cost t =

@@ -34,7 +34,6 @@ type phase_total = {
 }
 
 val phase_index : Sink.phase -> int
-val phase_of_index : int -> Sink.phase
 val n_phases : int
 
 type op_agg = {
@@ -74,11 +73,7 @@ val of_events : Sink.event list -> t
     denials + SVC marks). *)
 val event_count : t -> int
 
-(** Cycles spent in monitor spans of any kind (switches + init). *)
-val monitor_cycles : t -> int64
-
 val phase_cycles : t -> Sink.phase -> int64
-val phase_bytes : t -> Sink.phase -> int
 
 (** Operations sorted by total switch cycles spent on their behalf,
     descending (ties by name). *)

@@ -258,12 +258,6 @@ let chrome (evs : Sink.event list) : string =
 
 type format = Text | Json | Chrome
 
-let format_of_string = function
-  | "text" -> Some Text
-  | "json" -> Some Json
-  | "chrome" -> Some Chrome
-  | _ -> None
-
 let format_name = function Text -> "text" | Json -> "json" | Chrome -> "chrome"
 
 let render fmt evs =

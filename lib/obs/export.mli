@@ -11,6 +11,5 @@ val chrome : Sink.event list -> string
 
 type format = Text | Json | Chrome
 
-val format_of_string : string -> format option
 val format_name : format -> string
 val render : format -> Sink.event list -> string

@@ -46,12 +46,6 @@ let kind_name = function
   | Thread -> "thread"
   | Init -> "init"
 
-(* Counts as an operation switch for [Stats.switches] reconciliation?
-   [Init] happens once, before the first switch, and is excluded. *)
-let kind_is_switch = function
-  | Enter | Exit | Thread -> true
-  | Init -> false
-
 (* One execution of the switch protocol.  [sp_src]/[sp_dst] are
    operation names; [""] means no operation on that side (the very
    first entry, or an exit that unwinds the last frame). *)
@@ -66,17 +60,14 @@ type span = {
 
 let span_cycles s = Int64.sub s.sp_end s.sp_start
 
-(* MPU region identity, for rotation events. *)
+(* Window identity of a rotated slot, for rotation events. *)
 type region_id = { rg_base : int; rg_size_log2 : int }
-
-let region_id_of (r : M.Mpu.region) =
-  { rg_base = r.M.Mpu.base; rg_size_log2 = r.M.Mpu.size_log2 }
 
 type event =
   | Switch of span
   | Region_swap of {
       rs_op : string;
-      rs_slot : int;                    (** MPU slot rotated *)
+      rs_slot : int;                    (** MPU region, PMP entry or POE key *)
       rs_evicted : region_id option;    (** previous occupant, if any *)
       rs_installed : region_id;
       rs_at : int64;
@@ -128,8 +119,6 @@ module Memory = struct
     b.rev_events <- [];
     b.count <- 0
 end
-
-let pp_phase fmt p = Format.pp_print_string fmt (phase_name p)
 
 let pp_region_id fmt r =
   Fmt.pf fmt "0x%08X+%dB" r.rg_base (1 lsl r.rg_size_log2)

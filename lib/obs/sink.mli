@@ -39,9 +39,6 @@ type switch_kind =
 
 val kind_name : switch_kind -> string
 
-(** Does the kind count toward [Stats.switches]?  [Init] does not. *)
-val kind_is_switch : switch_kind -> bool
-
 (** One execution of the switch protocol.  [sp_src]/[sp_dst] are
     operation names; [""] means no operation on that side. *)
 type span = {
@@ -55,16 +52,15 @@ type span = {
 
 val span_cycles : span -> int64
 
-(** MPU region identity, for peripheral-rotation events. *)
+(** Window identity (base, log2 size) of an MPU region, PMP entry or
+    POE overlay, for peripheral-rotation events. *)
 type region_id = { rg_base : int; rg_size_log2 : int }
-
-val region_id_of : M.Mpu.region -> region_id
 
 type event =
   | Switch of span
   | Region_swap of {
       rs_op : string;
-      rs_slot : int;                  (** MPU slot rotated *)
+      rs_slot : int;                  (** MPU region, PMP entry or POE key *)
       rs_evicted : region_id option;  (** previous occupant, if any *)
       rs_installed : region_id;
       rs_at : int64;
@@ -113,6 +109,5 @@ module Memory : sig
   val clear : buffer -> unit
 end
 
-val pp_phase : Format.formatter -> phase -> unit
 val pp_region_id : Format.formatter -> region_id -> unit
 val pp_event : Format.formatter -> event -> unit

@@ -2,7 +2,10 @@
 
    One entry point, [install], maps an operation's policy — code,
    accessible stack prefix, data section, heap, permitted peripherals —
-   onto whichever enforcement backend the machine carries:
+   onto whichever enforcement backend the machine carries, and one,
+   [rotate], moves a permitted-but-faulting peripheral window into the
+   slots the plan reserves for them (Section 5.2's MPU virtualization
+   and its PMP and POE counterparts):
 
    - MPU:   the fixed 8-region plan of {!Mpu_plan} (regions beyond the
             four reserved peripheral slots overflow into runtime
@@ -19,7 +22,13 @@
    at the unprivileged level) is part of OPEC's design — relocation
    entries may point straight at public-section masters — so every
    backend grants it: MPU region 0, the PMP's last entry, a CHERI
-   default data capability, the POE background overlay on key 0. *)
+   default data capability, the POE background overlay on key 0.
+
+   Each budgeted backend's peripheral slots — the first one and how many
+   the plan keeps resident — are computed by one function here
+   ([mpu_periph_slots], [pmp_periph_slots], [poe_periph_slots]) that the
+   installer fills, the rotation cycles through, and lint reads through
+   [periph_budget]. *)
 
 module M = Opec_machine
 
@@ -34,6 +43,36 @@ let stack_limit_of_srd ~stack_base ~stack_top srd =
       if i > 7 then 8 else if srd land (1 lsl i) <> 0 then i else first_disabled (i + 1)
     in
     stack_base + (first_disabled 0 * Config.stack_subregion_size)
+
+(* --- MPU ------------------------------------------------------------------ *)
+
+(* The reserved peripheral regions 4..7; a heap-using operation's heap
+   takes the first of them. *)
+let mpu_periph_slots ~has_heap =
+  let first = Config.peripheral_region_first + if has_heap then 1 else 0 in
+  (first, Config.peripheral_region_first + Config.peripheral_region_count - first)
+
+let install_mpu mpu ~code_base ~code_bytes ~stack_base ~srd ?heap
+    (section : Layout.section option) (op : Operation.t) =
+  M.Mpu.clear mpu;
+  M.Mpu.set mpu Config.region_background (Some Mpu_plan.background_region);
+  M.Mpu.set mpu Config.region_code
+    (Some (Mpu_plan.code_region ~code_base ~code_bytes));
+  M.Mpu.set mpu Config.region_stack
+    (Some (Mpu_plan.stack_region ~stack_base ~srd ()));
+  M.Mpu.set mpu Config.region_opdata (Option.map Mpu_plan.opdata_region section);
+  Option.iter
+    (fun hs ->
+      M.Mpu.set mpu Config.peripheral_region_first
+        (Some (Mpu_plan.heap_region hs)))
+    heap;
+  let first, budget = mpu_periph_slots ~has_heap:(heap <> None) in
+  let periphs = Mpu_plan.peripheral_regions op in
+  List.iteri
+    (fun i r -> if i < budget then M.Mpu.set mpu (first + i) (Some r))
+    periphs;
+  M.Mpu.enable mpu;
+  List.filteri (fun i _ -> i >= budget) periphs
 
 (* --- PMP ------------------------------------------------------------------ *)
 
@@ -58,15 +97,20 @@ let pmp_of_mpu_region (r : M.Mpu.region) =
    stack prefix, the operation data section, the heap, then the code
    window.  Code precedes the peripherals so a peripheral-heavy
    operation can never crowd it out of the table (peripheral windows
-   overflow into virtualization; the code window must stay resident).
-   Both the installer and the monitor's rotation arithmetic read this
-   one sequence. *)
+   overflow into virtualization; the code window must stay resident). *)
 let pmp_fixed ~stack ~section ~heap ~code =
   (stack :: Option.to_list section) @ Option.to_list heap @ [ code ]
 
-(* Entries a plan may fill; the top two are reserved (a spare and the
-   background). *)
-let pmp_plan_slots = M.Pmp.entry_count - 2
+(* The peripheral entries follow the fixed windows, up to the two
+   reserved top entries (a spare and the background). *)
+let pmp_periph_slots ~has_section ~has_heap =
+  let some b = if b then Some () else None in
+  let first =
+    List.length
+      (pmp_fixed ~stack:() ~section:(some has_section) ~heap:(some has_heap)
+         ~code:())
+  in
+  (first, M.Pmp.entry_count - 2 - first)
 
 let install_pmp pmp ~code_base ~code_bytes ~stack_base ~stack_limit ?heap
     (section : Layout.section option) (op : Operation.t) =
@@ -90,7 +134,9 @@ let install_pmp pmp ~code_base ~code_bytes ~stack_base ~stack_limit ?heap
            ~base:(code_base land lnot ((1 lsl code_log2) - 1))
            ~size_log2:code_log2 ~r:true ~w:false ~x:true ())
   in
-  let room = pmp_plan_slots - List.length fixed in
+  let _, room =
+    pmp_periph_slots ~has_section:(section <> None) ~has_heap:(heap <> None)
+  in
   let periphs = Mpu_plan.peripheral_regions op in
   List.iteri (M.Pmp.set pmp)
     (fixed
@@ -156,6 +202,11 @@ let poe_key_stack = 2
 let poe_key_opdata = 3
 let poe_key_first_free = 4
 
+(* The peripheral keys: the free keys after the heap's, when present. *)
+let poe_periph_slots ~has_heap =
+  let first = poe_key_first_free + if has_heap then 1 else 0 in
+  (first, M.Poe.key_count - first)
+
 let round_down g n = n / g * g
 let round_up g n = (n + g - 1) / g * g
 
@@ -184,26 +235,19 @@ let install_poe p ~code_base ~code_bytes ~stack_base ~stack_limit ?heap
       poe_window ~base:s.Layout.base ~limit:(s.Layout.base + s.Layout.span)
     in
     M.Poe.add p (M.Poe.overlay ~key:poe_key_opdata ~base ~limit ()));
-  let next_key = ref poe_key_first_free in
-  let keyed () =
-    if !next_key < M.Poe.key_count then begin
-      let k = !next_key in
-      incr next_key;
-      k
-    end
-    else M.Poe.no_key
-  in
   (match heap with
   | None -> ()
   | Some (hs : Layout.section) ->
     let base, limit =
       poe_window ~base:hs.Layout.base ~limit:(hs.Layout.base + hs.Layout.span)
     in
-    M.Poe.add p (M.Poe.overlay ~key:(keyed ()) ~base ~limit ()));
-  List.iter
-    (fun (base, limit) ->
+    M.Poe.add p (M.Poe.overlay ~key:poe_key_first_free ~base ~limit ()));
+  let first, budget = poe_periph_slots ~has_heap:(heap <> None) in
+  List.iteri
+    (fun i (base, limit) ->
       let base, limit = poe_window ~base ~limit in
-      M.Poe.add p (M.Poe.overlay ~key:(keyed ()) ~base ~limit ()))
+      let key = if i < budget then first + i else M.Poe.no_key in
+      M.Poe.add p (M.Poe.overlay ~key ~base ~limit ()))
     op.Operation.periph_ranges;
   let code_lo = round_down g code_base in
   M.Poe.add p
@@ -232,7 +276,7 @@ let install st ~code_base ~code_bytes ~(layout : Layout.t) ~srd ?heap
   in
   match st with
   | M.Backend.Mpu_state m ->
-    Mpu_plan.install m ~code_base ~code_bytes ~stack_base ~srd ?heap section op
+    install_mpu m ~code_base ~code_bytes ~stack_base ~srd ?heap section op
   | M.Backend.Pmp_state p ->
     install_pmp p ~code_base ~code_bytes ~stack_base ~stack_limit ?heap
       section op
@@ -245,22 +289,83 @@ let install st ~code_base ~code_bytes ~(layout : Layout.t) ~srd ?heap
       section op;
     []
 
-(* First PMP entry index holding a peripheral window, and the capacity
-   before the table is full — the monitor's rotation arithmetic, counted
-   off the installer's own entry sequence. *)
-let pmp_periph_first ~has_section ~has_heap =
-  let some b = if b then Some () else None in
-  List.length
-    (pmp_fixed ~stack:() ~section:(some has_section) ~heap:(some has_heap)
-       ~code:())
+(* --- resident budget and fault-time rotation -------------------------------- *)
 
-let pmp_periph_capacity ~has_section ~has_heap =
-  pmp_plan_slots - pmp_periph_first ~has_section ~has_heap
+let periph_budget kind (meta : Metadata.op_meta) =
+  let has_heap = meta.Metadata.uses_heap in
+  let has_section = meta.Metadata.section <> None in
+  Option.map snd
+    (match kind with
+    | M.Backend.Mpu -> Some (mpu_periph_slots ~has_heap)
+    | M.Backend.Pmp -> Some (pmp_periph_slots ~has_section ~has_heap)
+    | M.Backend.Poe -> Some (poe_periph_slots ~has_heap)
+    | M.Backend.Cheri -> None)
 
-(* First recyclable POE key and how many there are (after the heap claims
-   one when present) — the monitor's key-recycling arithmetic. *)
-let poe_recycle_first ~has_heap =
-  poe_key_first_free + if has_heap then 1 else 0
+type rotation = {
+  slot : int;
+  evicted : (int * int) option;
+  installed : int * int;
+}
 
-let poe_recycle_count ~has_heap =
-  M.Poe.key_count - poe_recycle_first ~has_heap
+let covering_region (meta : Metadata.op_meta) addr =
+  List.find_opt
+    (fun (r : M.Mpu.region) ->
+      addr >= r.M.Mpu.base && addr < r.M.Mpu.base + (1 lsl r.M.Mpu.size_log2))
+    meta.Metadata.periph_regions
+
+let region_window (r : M.Mpu.region) = (r.M.Mpu.base, r.M.Mpu.size_log2)
+let span_window ~base ~limit = (base, Layout.log2_ceil (max 1 (limit - base)))
+
+let pmp_entry_window (e : M.Pmp.entry) =
+  match e.M.Pmp.mode with
+  | M.Pmp.Off -> None
+  | M.Pmp.Napot { base; size_log2 } -> Some (base, size_log2)
+  | M.Pmp.Tor { base; limit } -> Some (span_window ~base ~limit)
+
+let overlay_window (ov : M.Poe.overlay) =
+  span_window ~base:ov.M.Poe.ov_base ~limit:ov.M.Poe.ov_limit
+
+(* The MPU and PMP evict round-robin within the peripheral slots; POE
+   never evicts a window — it strips a key from its current holders and
+   tags the faulting keyless window with it. *)
+let rotate st ~(meta : Metadata.op_meta) ~next ~addr =
+  let has_heap = meta.Metadata.uses_heap in
+  match st with
+  | M.Backend.Mpu_state mpu ->
+    Option.map
+      (fun region ->
+        let first, budget = mpu_periph_slots ~has_heap in
+        let slot = first + (next mod max 1 budget) in
+        let evicted = Option.map region_window (M.Mpu.get mpu slot) in
+        M.Mpu.set mpu slot (Some region);
+        { slot; evicted; installed = region_window region })
+      (covering_region meta addr)
+  | M.Backend.Pmp_state pmp ->
+    Option.map
+      (fun region ->
+        let first, budget =
+          pmp_periph_slots ~has_section:(meta.Metadata.section <> None)
+            ~has_heap
+        in
+        let resident = min budget (List.length meta.Metadata.periph_regions) in
+        let slot = first + (next mod max 1 resident) in
+        let evicted = pmp_entry_window (M.Pmp.get pmp slot) in
+        M.Pmp.set pmp slot (pmp_of_mpu_region region);
+        { slot; evicted; installed = region_window region })
+      (covering_region meta addr)
+  | M.Backend.Poe_state poe ->
+    Option.map
+      (fun ov ->
+        let first, budget = poe_periph_slots ~has_heap in
+        let key = first + (next mod max 1 budget) in
+        let victims = M.Poe.reclaim_key poe key in
+        M.Poe.retag poe ov key;
+        { slot = key;
+          evicted = Option.map overlay_window (List.nth_opt victims 0);
+          installed = overlay_window ov })
+      (List.find_opt
+         (fun (ov : M.Poe.overlay) ->
+           ov.M.Poe.ov_key = M.Poe.no_key
+           && addr >= ov.M.Poe.ov_base && addr < ov.M.Poe.ov_limit)
+         (M.Poe.overlays poe))
+  | M.Backend.Cheri_state _ -> None

@@ -4,33 +4,6 @@
 
 module M = Opec_machine
 
-(** The stack prefix limit the MPU's sub-region disable mask encodes. *)
-val stack_limit_of_srd : stack_base:int -> stack_top:int -> int -> int
-
-(** One MPU region as a PMP NAPOT entry with the unprivileged
-    permissions (the monitor's peripheral rotation installs these). *)
-val pmp_of_mpu_region : M.Mpu.region -> M.Pmp.entry
-
-(** The operation's CHERI capability table (background, code, stack
-    prefix, data section, heap, precise peripheral grants). *)
-val cheri_caps :
-  code_base:int ->
-  code_bytes:int ->
-  stack_base:int ->
-  stack_limit:int ->
-  ?heap:Layout.section ->
-  Layout.section option ->
-  Operation.t ->
-  M.Cheri.cap list
-
-(** Fixed POE key plan, mirroring the MPU's region numbering. *)
-val poe_key_background : int
-
-val poe_key_code : int
-val poe_key_stack : int
-val poe_key_opdata : int
-val poe_key_first_free : int
-
 (** Install the operation's plan on whatever backend the machine
     carries, replacing everything the previous plan installed; returns
     the planned peripheral windows left non-resident (MPU/PMP overflow;
@@ -46,14 +19,31 @@ val install :
   Operation.t ->
   M.Mpu.region list
 
-(** Rotation arithmetic for the monitor: first PMP entry index holding a
-    peripheral window, and how many fit before the table is full. *)
-val pmp_periph_first : has_section:bool -> has_heap:bool -> int
+(** How many of the operation's peripheral windows the backend keeps
+    resident at once — MPU regions, PMP entries, keyed POE overlays —
+    the rest being rotated in at fault time; [None] for CHERI, whose
+    grants are unbudgeted.  The installer fills exactly this many and
+    {!rotate} cycles through the same slots. *)
+val periph_budget : M.Backend.kind -> Metadata.op_meta -> int option
 
-val pmp_periph_capacity : has_section:bool -> has_heap:bool -> int
+(** One fault-time rotation: the slot rotated (MPU region, PMP entry or
+    POE key), the window it took the slot from, if any, and the window
+    now resident, each as [(base, size_log2)]. *)
+type rotation = {
+  slot : int;
+  evicted : (int * int) option;
+  installed : int * int;
+}
 
-(** Key-recycling arithmetic: first recyclable POE key and the pool
-    size, after the heap claims one when present. *)
-val poe_recycle_first : has_heap:bool -> int
-
-val poe_recycle_count : has_heap:bool -> int
+(** [rotate st ~meta ~next ~addr] moves the planned peripheral window
+    covering the permitted-but-faulting [addr] into the slot [next]
+    selects, round-robin over the operation's peripheral slots: MPU and
+    PMP evict the window there, POE recycles the key onto the faulting
+    keyless window.  [None] when no planned window covers [addr] — a
+    real violation, and always the case on CHERI. *)
+val rotate :
+  M.Backend.state ->
+  meta:Metadata.op_meta ->
+  next:int ->
+  addr:int ->
+  rotation option

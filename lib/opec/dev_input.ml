@@ -31,5 +31,3 @@ let v ?(stack_infos = []) ?(sanitize = []) entries =
 let stack_info_for t entry =
   List.find_opt (fun si -> String.equal si.si_entry entry) t.stack_infos
 
-let sanitize_for t g =
-  List.find_opt (fun r -> String.equal r.sz_global g) t.sanitize

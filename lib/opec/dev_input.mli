@@ -26,4 +26,3 @@ val v :
   string list -> t
 
 val stack_info_for : t -> string -> stack_info option
-val sanitize_for : t -> string -> sanitize_rule option

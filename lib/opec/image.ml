@@ -196,4 +196,3 @@ let sram_overhead_pct t =
 let privileged_code_bytes t =
   Config.monitor_code_size + Metadata.total_bytes t.metas + t.syncset_bytes
 
-let total_code_bytes t = t.flash_used

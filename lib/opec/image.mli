@@ -71,4 +71,3 @@ val sram_overhead_pct : t -> float
 (** Monitor text plus metadata — the only privileged bytes. *)
 val privileged_code_bytes : t -> int
 
-val total_code_bytes : t -> int

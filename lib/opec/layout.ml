@@ -219,9 +219,3 @@ let is_external t var = List.mem var t.externals
    fragments inside and between operation data sections. *)
 let sram_bytes t = t.data_limit - t.data_base
 
-let pp_section fmt s =
-  Fmt.pf fmt "@[<v 2>section %s @@ 0x%08X (used %d, region 2^%d):@,%a@]"
-    s.owner s.base s.used s.region_log2
-    Fmt.(list ~sep:(any "@,") (fun fmt sl ->
-      Fmt.pf fmt "%s @@ 0x%08X (%d)" sl.var sl.addr sl.size))
-    s.slots

@@ -76,4 +76,3 @@ val is_external : t -> string -> bool
 (** SRAM bytes the plan consumes, including MPU-alignment fragments. *)
 val sram_bytes : t -> int
 
-val pp_section : Format.formatter -> section -> unit

@@ -13,7 +13,10 @@
 
    A merged peripheral range that cannot be covered by one aligned
    power-of-two region is split into multiple chunks, which is why "one
-   peripheral may need two more MPU regions" (Section 5.2). *)
+   peripheral may need two more MPU regions" (Section 5.2).
+
+   This module builds the regions; {!Backend_plan} installs the plan and
+   rotates the overflow through the reserved slots. *)
 
 module Mpu = Opec_machine.Mpu
 
@@ -73,38 +76,3 @@ let peripheral_regions (op : Operation.t) =
   |> List.map (fun (base, size_log2) ->
          Mpu.region ~base ~size_log2 ~privileged:Mpu.Read_write
            ~unprivileged:Mpu.Read_write ())
-
-(* Install the full plan for [op] into the machine's MPU.  Returns the
-   peripheral regions that did not fit into the four reserved slots —
-   they will be faulted in and rotated by the monitor's virtualization. *)
-let install mpu ~code_base ~code_bytes ~stack_base ~srd ?heap
-    (section : Layout.section option) (op : Operation.t) =
-  Mpu.clear mpu;
-  Mpu.set mpu Config.region_background (Some background_region);
-  Mpu.set mpu Config.region_code (Some (code_region ~code_base ~code_bytes));
-  Mpu.set mpu Config.region_stack (Some (stack_region ~stack_base ~srd ()));
-  (match section with
-  | Some s -> Mpu.set mpu Config.region_opdata (Some (opdata_region s))
-  | None -> Mpu.set mpu Config.region_opdata None);
-  (* operations using the heap dedicate the first reserved slot to it *)
-  let first_periph =
-    match heap with
-    | Some hs ->
-      Mpu.set mpu Config.peripheral_region_first (Some (heap_region hs));
-      Config.peripheral_region_first + 1
-    | None -> Config.peripheral_region_first
-  in
-  let periphs = peripheral_regions op in
-  let last = Config.peripheral_region_first + Config.peripheral_region_count in
-  let rec fill slot = function
-    | [] -> []
-    | r :: rest when slot < last ->
-      Mpu.set mpu slot (Some r);
-      fill (slot + 1) rest
-    | rest ->
-      (* clear remaining slots handled below; return the overflow *)
-      rest
-  in
-  let overflow = fill first_periph periphs in
-  Mpu.enable mpu;
-  overflow

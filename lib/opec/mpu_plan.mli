@@ -5,7 +5,8 @@
     the stack with dynamic sub-region masking, region 3 the operation
     data section, regions 4..7 the merged peripheral ranges (the first
     reserved slot holds the heap section for heap-using operations);
-    ranges beyond the budget are virtualized at runtime. *)
+    ranges beyond the budget are virtualized at runtime.  The regions
+    are built here; {!Backend_plan} installs and rotates them. *)
 
 module Mpu = Opec_machine.Mpu
 
@@ -21,16 +22,3 @@ val cover_range : int * int -> (int * int) list
 
 (** All peripheral regions the operation's merged ranges need. *)
 val peripheral_regions : Operation.t -> Mpu.region list
-
-(** Install the full plan; returns the peripheral regions that did not
-    fit (rotated in on demand by the monitor). *)
-val install :
-  Mpu.t ->
-  code_base:int ->
-  code_bytes:int ->
-  stack_base:int ->
-  srd:int ->
-  ?heap:Layout.section ->
-  Layout.section option ->
-  Operation.t ->
-  Mpu.region list

@@ -458,11 +458,6 @@ let stage_names =
 
 let timings c = Mutex.protect c.lock (fun () -> c.timings)
 
-let compute_counts c =
-  Mutex.protect c.lock (fun () ->
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.counts []
-      |> List.sort compare)
-
 let compute_count c stage =
   Mutex.protect c.lock (fun () ->
       Option.value (Hashtbl.find_opt c.counts stage) ~default:0)

@@ -138,9 +138,6 @@ val stage_names : string list
     order — the data behind [opec profile]. *)
 val timings : ctx -> (string * float) list
 
-(** How many times each stage was actually computed (cache misses). *)
-val compute_counts : ctx -> (string * int) list
-
 val compute_count : ctx -> string -> int
 
 (** Materialize the full pipeline for one workload. *)

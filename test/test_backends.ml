@@ -5,6 +5,8 @@
    cross-backend protected runs through the pipeline. *)
 
 module M = Opec_machine
+module C = Opec_core
+module L = Opec_lint
 module P = Opec_pipeline.Pipeline
 module Apps = Opec_apps
 module Atk = Opec_attack
@@ -60,12 +62,6 @@ let test_cheri_accepts_unaligned () =
    lowest-numbered matching entry, the MPU the highest-numbered
    matching region.  The planner must never rely on one convention. *)
 let test_match_priority () =
-  Alcotest.(check bool)
-    "descriptors disagree on priority" true
-    ((M.Backend.descriptor M.Backend.Pmp).M.Backend.d_priority
-       = M.Backend.Lowest_wins
-    && (M.Backend.descriptor M.Backend.Mpu).M.Backend.d_priority
-         = M.Backend.Highest_wins);
   let addr = 0x2000_0010 in
   let pmp = M.Pmp.create () in
   M.Pmp.set pmp 0
@@ -95,12 +91,6 @@ let test_match_priority () =
 (* --- fault model: POE key exhaustion recycles, never evicts -------------- *)
 
 let test_poe_key_recycling () =
-  Alcotest.(check bool)
-    "POE's fault model is key recycling, the MPU's region eviction" true
-    ((M.Backend.descriptor M.Backend.Poe).M.Backend.d_fault_model
-       = M.Backend.Key_recycling
-    && (M.Backend.descriptor M.Backend.Mpu).M.Backend.d_fault_model
-         = M.Backend.Region_eviction);
   let t = M.Poe.create () in
   for k = 0 to M.Poe.key_count - 1 do
     M.Poe.set_key t k M.Poe.Read_write
@@ -145,6 +135,79 @@ let test_entry_budgets () =
     (Some M.Poe.key_count) (budget M.Backend.Poe);
   Alcotest.(check (option int)) "CHERI tables are unbudgeted" None
     (budget M.Backend.Cheri)
+
+(* --- resident budget: lint and the installer agree ------------------------ *)
+
+(* For every operation under each budgeted backend, the budget lint L003
+   reports in its overflow info (or, with no such info, every planned
+   peripheral window) is the number of peripheral windows
+   [Backend_plan.install] leaves resident: planned MPU regions / PMP
+   entries minus the returned overflow, and keyed POE peripheral
+   overlays. *)
+let test_budget_agreement () =
+  List.iter
+    (fun (app : Apps.App.t) ->
+      List.iter
+        (fun backend ->
+          let image = P.image (P.ctx ~backend app) in
+          let diags = L.Checks.mpu_plan_validity image in
+          List.iter
+            (fun (op : C.Operation.t) ->
+              let name =
+                Printf.sprintf "%s %s %s" app.Apps.App.app_name
+                  (M.Backend.kind_name backend) op.C.Operation.name
+              in
+              let meta = Option.get (C.Image.meta_of image op.C.Operation.name) in
+              let planned =
+                match backend with
+                | M.Backend.Poe -> List.length op.C.Operation.periph_ranges
+                | _ -> List.length meta.C.Metadata.periph_regions
+              in
+              let reported =
+                List.find_map
+                  (fun (d : L.Diag.t) ->
+                    match d.L.Diag.loc with
+                    | L.Diag.Operation o
+                      when o = op.C.Operation.name && d.L.Diag.code = "L003"
+                           && d.L.Diag.severity = L.Diag.Info ->
+                      Some
+                        (Scanf.sscanf d.L.Diag.message
+                           "%d peripheral %s exceed the %d" (fun _ _ b -> b))
+                    | _ -> None)
+                  diags
+              in
+              let st = M.Backend.create backend in
+              let heap =
+                if meta.C.Metadata.uses_heap then
+                  image.C.Image.layout.C.Layout.heap_section
+                else None
+              in
+              let overflow =
+                C.Backend_plan.install st ~code_base:image.C.Image.code_base
+                  ~code_bytes:image.C.Image.code_bytes
+                  ~layout:image.C.Image.layout ~srd:0 ?heap
+                  meta.C.Metadata.section op
+              in
+              let resident =
+                match st with
+                | M.Backend.Poe_state poe ->
+                  List.length
+                    (List.filter
+                       (fun (ov : M.Poe.overlay) ->
+                         ov.M.Poe.ov_key <> M.Poe.no_key
+                         && List.exists
+                              (fun (lo, hi) ->
+                                ov.M.Poe.ov_base < hi && lo < ov.M.Poe.ov_limit)
+                              op.C.Operation.periph_ranges)
+                       (M.Poe.overlays poe))
+                | _ -> planned - List.length overflow
+              in
+              Alcotest.(check int) name
+                (Option.value reported ~default:planned)
+                resident)
+            image.C.Image.ops)
+        M.Backend.[ Mpu; Pmp; Poe ])
+    (Apps.Registry.all_small ())
 
 (* --- MPU bit-identity against the pre-refactor recording ----------------- *)
 
@@ -278,4 +341,6 @@ let suite () =
         Alcotest.test_case "clean runs across all backends" `Slow
           test_cross_backend_clean_runs;
         Alcotest.test_case "pinned cycles and stats, 7 apps x 4 backends"
-          `Slow test_pinned_runs ] ) ]
+          `Slow test_pinned_runs;
+        Alcotest.test_case "lint budget = resident windows" `Quick
+          test_budget_agreement ] ) ]

@@ -276,12 +276,10 @@ let run_program kind ops =
   let bus = M.Bus.create ~board:M.Memmap.stm32f4_discovery in
   M.Bus.attach bus
     (M.Device.stub "periph" ~base:M.Memmap.periph_base ~size:arena_bytes);
-  (* the MPU starts as the bus's own legacy [mpu] object; the other
-     backends start installed through [set_protection] *)
-  let current = ref (M.Bus.protection bus) in
-  if kind <> M.Backend.Mpu then (
-    current := M.Backend.create kind;
-    M.Bus.set_protection bus !current);
+  (* every backend starts installed through [set_protection], as
+     [Runner.prepare] installs it *)
+  let current = ref (M.Backend.create kind) in
+  M.Bus.set_protection bus !current;
   let other = ref (M.Backend.create kind) in
   List.iter open_state [ !current; !other ];
   let cpu = bus.M.Bus.cpu in
