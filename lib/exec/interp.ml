@@ -218,12 +218,11 @@ let rec checked_store t addr width v =
     | Emulated _ -> ()
     | Bus_abort msg -> raise (Aborted msg))
 
-(* Region-routed variants for the compiled engine: [raw] is one of the
-   bus fast paths ([Bus.read_sram], [Bus.read_device], ...) whose
-   routing precondition the translator established.  Fault delivery is
-   identical to [checked_load]/[checked_store]; a [Retry] re-executes
-   the same fast path (the monitor fixed the MPU, the routing still
-   holds). *)
+(* Region-routed variant for the compiled engine: [raw] is a bus fast
+   path ([Bus.read_flash]) whose routing precondition the translator
+   established.  Fault delivery is identical to
+   [checked_load]/[checked_store]; a [Retry] re-executes the same fast
+   path (the monitor fixed the MPU, the routing still holds). *)
 let rec routed_load t raw addr width =
   try
     let v = raw t.bus addr width in
@@ -241,24 +240,6 @@ let rec routed_load t raw addr width =
     t.last_fault <- Some (desc, info);
     match t.handler.on_bus_fault desc info with
     | Emulated v -> v
-    | Bus_abort msg -> raise (Aborted msg))
-
-let rec routed_store t raw addr width v =
-  try
-    raw t.bus addr width v;
-    Trace.record_access t.trace ~addr ~write:true
-  with
-  | M.Fault.Mem_manage info -> (
-    let desc = Access_store { addr; width; value = v } in
-    t.last_fault <- Some (desc, info);
-    match t.handler.on_mem_fault desc info with
-    | Retry -> routed_store t raw addr width v
-    | Abort msg -> raise (Aborted msg))
-  | M.Fault.Bus info -> (
-    let desc = Access_store { addr; width; value = v } in
-    t.last_fault <- Some (desc, info);
-    match t.handler.on_bus_fault desc info with
-    | Emulated _ -> ()
     | Bus_abort msg -> raise (Aborted msg))
 
 (* SRAM-routed accesses, monomorphized: [routed_load t M.Bus.read_sram]
@@ -294,6 +275,46 @@ let rec sram_store t addr width v =
     t.last_fault <- Some (desc, info);
     match t.handler.on_mem_fault desc info with
     | Retry -> sram_store t addr width v
+    | Abort msg -> raise (Aborted msg))
+  | M.Fault.Bus info -> (
+    let desc = Access_store { addr; width; value = v } in
+    t.last_fault <- Some (desc, info);
+    match t.handler.on_bus_fault desc info with
+    | Emulated _ -> ()
+    | Bus_abort msg -> raise (Aborted msg))
+
+(* Device accesses at a constant address, through the device route
+   [r] the translator looked up ([Bus.read_routed]), with the same
+   direct calls and fault delivery. *)
+let rec device_load t r addr width =
+  try
+    let v = M.Bus.read_routed t.bus r addr width in
+    Trace.record_access t.trace ~addr ~write:false;
+    v
+  with
+  | M.Fault.Mem_manage info -> (
+    let desc = Access_load { addr; width } in
+    t.last_fault <- Some (desc, info);
+    match t.handler.on_mem_fault desc info with
+    | Retry -> device_load t r addr width
+    | Abort msg -> raise (Aborted msg))
+  | M.Fault.Bus info -> (
+    let desc = Access_load { addr; width } in
+    t.last_fault <- Some (desc, info);
+    match t.handler.on_bus_fault desc info with
+    | Emulated v -> v
+    | Bus_abort msg -> raise (Aborted msg))
+
+let rec device_store t r addr width v =
+  try
+    M.Bus.write_routed t.bus r addr width v;
+    Trace.record_access t.trace ~addr ~write:true
+  with
+  | M.Fault.Mem_manage info -> (
+    let desc = Access_store { addr; width; value = v } in
+    t.last_fault <- Some (desc, info);
+    match t.handler.on_mem_fault desc info with
+    | Retry -> device_store t r addr width v
     | Abort msg -> raise (Aborted msg))
   | M.Fault.Bus info -> (
     let desc = Access_store { addr; width; value = v } in
@@ -1324,9 +1345,10 @@ let compile t (cf : cfunc) =
     if checked then Bytes.unsafe_set fr.def i '\001'
   in
   (* Static routing for a constant address: pick the owning region's bus
-     fast path at translation time; anything unusual (PPB, unmapped,
-     flash writes) keeps the generic checked access, whose behaviour is
-     the reference. *)
+     fast path at translation time, and in a device window look up the
+     device too ([Bus.route], looked up again if a device is attached
+     later); anything unusual (PPB, unmapped, flash writes) keeps the
+     generic checked access, whose behaviour is the reference. *)
   let static_load addr width : unit -> int64 =
     match M.Memmap.classify addr with
     | M.Memmap.Sram when M.Memory.in_range t.bus.M.Bus.sram addr width ->
@@ -1335,7 +1357,8 @@ let compile t (cf : cfunc) =
       fun () -> routed_load t M.Bus.read_flash addr width
     | M.Memmap.Peripheral | M.Memmap.External_ram | M.Memmap.External_device
     | M.Memmap.Vendor ->
-      fun () -> routed_load t M.Bus.read_device addr width
+      let r = M.Bus.route t.bus addr in
+      fun () -> device_load t r addr width
     | M.Memmap.Ppb | M.Memmap.Code | M.Memmap.Sram ->
       fun () -> checked_load t addr width
   in
@@ -1345,7 +1368,8 @@ let compile t (cf : cfunc) =
       fun v -> sram_store t addr width v
     | M.Memmap.Peripheral | M.Memmap.External_ram | M.Memmap.External_device
     | M.Memmap.Vendor ->
-      fun v -> routed_store t M.Bus.write_device addr width v
+      let r = M.Bus.route t.bus addr in
+      fun v -> device_store t r addr width v
     | M.Memmap.Ppb | M.Memmap.Code | M.Memmap.Sram ->
       fun v -> checked_store t addr width v
   in

@@ -117,7 +117,7 @@ let covered regions (lo, hi) =
    resident budget — the same budget the installer fills and the
    monitor's rotation cycles through — reported as an info. *)
 let budget_overflow kind ~opn (meta : C.Metadata.op_meta) =
-  let n = List.length meta.periph_regions in
+  let n = C.Backend_plan.periph_windows kind meta in
   match C.Backend_plan.periph_budget kind meta with
   | Some slots when n > slots ->
     let what, rest =

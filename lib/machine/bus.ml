@@ -17,7 +17,28 @@
    counter, so a hit is exactly an access {!Backend.check} would allow;
    misses, denials and faults take {!Backend.check} itself, so fault
    info, region virtualization, key recycling and PPB emulation never
-   see the cache. *)
+   see the cache.
+
+   Devices are routed by the same 4 KiB pages, through a direct-mapped
+   table of [device_slots] candidate arrays indexed by the page's low
+   bits.  [attach] files the device under the slot of every page its
+   window touches (every slot, for a window of [device_slots] pages or
+   more), newest first, so a lookup returns the first candidate of the
+   address's slot that contains the address: the device attached last,
+   the same one the attach-order list scan ([find_device_linear], the
+   test reference) finds, for any address.  A slot holds an array, not
+   one device: devices share a page (SysTick, NVIC and SCB on
+   0xE000E000; a world's scripted GPIO port over the latched default),
+   and pages that differ only in high bits share a slot.  Hot paths use
+   [lookup], which returns the [no_device] sentinel instead of an
+   option.
+
+   A route ([route]) is a lookup done ahead of time, for an address the
+   interpreter knows at translation: it remembers the device and the
+   bus's device generation, which [attach] bumps.  [read_routed] and
+   [write_routed] use the remembered device while the generation is
+   unchanged and look the address up again otherwise, so a device
+   attached after translation still takes precedence. *)
 
 let cache_slots = 8 (* per access kind; a power of two *)
 let page_bits = 12
@@ -26,10 +47,20 @@ let page_bits = 12
 let entry_words = 3
 let no_tag = -1
 
+(* device table slots: a power of two, small enough for the table to be
+   a minor-heap block *)
+let device_slots = 256
+
+let no_device = Device.stub "none" ~base:0 ~size:0
+
 type t = {
   flash : Memory.t;
   sram : Memory.t;
   mutable devices : Device.t list;
+      (** attached devices, newest first: the reference order *)
+  device_table : Device.t array array;
+      (** [device_slots] candidate arrays, newest attach first *)
+  mutable device_gen : int;  (** bumped by every {!attach} *)
   mutable prot : Backend.state;
       (** the active enforcement backend; a fresh, disabled MPU until
           {!set_protection} installs another state *)
@@ -53,6 +84,8 @@ let create ~(board : Memmap.board) =
     { flash = Memory.create ~base:Memmap.flash_base ~size:board.flash_size;
       sram = Memory.create ~base:Memmap.sram_base ~size:board.sram_size;
       devices = [];
+      device_table = Array.make device_slots [||];
+      device_gen = 0;
       prot = Backend.create Backend.Mpu;
       cpu = Cpu.create ();
       cache = Array.make (3 * cache_slots * entry_words) 0 }
@@ -60,9 +93,37 @@ let create ~(board : Memmap.board) =
   flush t;
   t
 
-let attach t d = t.devices <- d :: t.devices
+let device_slot addr = (addr asr page_bits) land (device_slots - 1)
 
-let find_device t addr = List.find_opt (fun d -> Device.contains d addr) t.devices
+let attach t (d : Device.t) =
+  t.devices <- d :: t.devices;
+  t.device_gen <- t.device_gen + 1;
+  if d.size > 0 then begin
+    let first = d.base asr page_bits in
+    let last = min ((d.base + d.size - 1) asr page_bits) (first + device_slots - 1) in
+    for page = first to last do
+      let s = page land (device_slots - 1) in
+      t.device_table.(s) <- Array.append [| d |] t.device_table.(s)
+    done
+  end
+
+let rec first_containing (cands : Device.t array) addr i =
+  if i >= Array.length cands then no_device
+  else
+    let d = Array.unsafe_get cands i in
+    if addr >= d.base && addr < d.base + d.size then d
+    else first_containing cands addr (i + 1)
+
+(* The device owning [addr], or [no_device]. *)
+let lookup t addr =
+  first_containing (Array.unsafe_get t.device_table (device_slot addr)) addr 0
+
+let find_device t addr =
+  let d = lookup t addr in
+  if d == no_device then None else Some d
+
+let find_device_linear t addr =
+  List.find_opt (fun d -> Device.contains d addr) t.devices
 
 let set_protection t st =
   t.prot <- st;
@@ -122,49 +183,54 @@ let mpu_check t ~addr ~access =
 let fault_bus t ~addr ~access =
   raise (Fault.Bus { Fault.addr; access; privileged = t.cpu.Cpu.privileged })
 
+let dispatch_read t (d : Device.t) addr width =
+  if d == no_device then fault_bus t ~addr ~access:Fault.Read
+  else d.read (addr - d.base) width
+
+let dispatch_write t (d : Device.t) addr width v =
+  if d == no_device then fault_bus t ~addr ~access:Fault.Write
+  else d.write (addr - d.base) width v
+
+let device_read t addr width = dispatch_read t (lookup t addr) addr width
+
+let device_write t addr width v =
+  dispatch_write t (lookup t addr) addr width v
+
 (* Read [width] bytes at [addr] honouring privilege and MPU. *)
 let read t addr width =
   Cpu.charge t.cpu 1;
   match Memmap.classify addr with
   | Memmap.Ppb ->
     if not t.cpu.Cpu.privileged then fault_bus t ~addr ~access:Fault.Read;
-    (match find_device t addr with
-    | Some d -> d.Device.read (addr - d.Device.base) width
-    | None -> fault_bus t ~addr ~access:Fault.Read)
+    device_read t addr width
   | Memmap.Code | Memmap.Sram | Memmap.Peripheral | Memmap.External_ram
   | Memmap.External_device | Memmap.Vendor ->
     mpu_check t ~addr ~access:Fault.Read;
     if Memory.contains t.flash addr then Memory.read t.flash addr width
     else if Memory.contains t.sram addr then Memory.read t.sram addr width
-    else (
-      match find_device t addr with
-      | Some d -> d.Device.read (addr - d.Device.base) width
-      | None -> fault_bus t ~addr ~access:Fault.Read)
+    else device_read t addr width
 
 let write t addr width v =
   Cpu.charge t.cpu 1;
   match Memmap.classify addr with
   | Memmap.Ppb ->
     if not t.cpu.Cpu.privileged then fault_bus t ~addr ~access:Fault.Write;
-    (match find_device t addr with
-    | Some d -> d.Device.write (addr - d.Device.base) width v
-    | None -> fault_bus t ~addr ~access:Fault.Write)
+    device_write t addr width v
   | Memmap.Code | Memmap.Sram | Memmap.Peripheral | Memmap.External_ram
   | Memmap.External_device | Memmap.Vendor ->
     mpu_check t ~addr ~access:Fault.Write;
     if Memory.contains t.flash addr then fault_bus t ~addr ~access:Fault.Write
     else if Memory.contains t.sram addr then Memory.write t.sram addr width v
-    else (
-      match find_device t addr with
-      | Some d -> d.Device.write (addr - d.Device.base) width v
-      | None -> fault_bus t ~addr ~access:Fault.Write)
+    else device_write t addr width v
 
 (* Fast paths for translation-time-routed accesses (the closure-compiled
    interpreter engine): same one-cycle charge, same MPU check, same fault
    behaviour as [read]/[write] for an address whose region is already
-   known — only the region classification and the memory-range scans are
-   skipped.  Callers guarantee the routing precondition (e.g. the address
-   is in SRAM range for [read_sram]). *)
+   known — only the region classification, the memory-range scans and,
+   for a routed device access whose generation still holds, the device
+   lookup are skipped.  Callers guarantee the routing precondition (e.g.
+   the address is in SRAM range for [read_sram], outside flash, SRAM and
+   the PPB for [read_routed]). *)
 let read_sram t addr width =
   Cpu.charge t.cpu 1;
   mpu_check t ~addr ~access:Fault.Read;
@@ -180,19 +246,22 @@ let read_flash t addr width =
   mpu_check t ~addr ~access:Fault.Read;
   Memory.read_unchecked t.flash addr width
 
-let read_device t addr width =
+type route = { r_device : Device.t; r_gen : int }
+
+let route t addr = { r_device = lookup t addr; r_gen = t.device_gen }
+
+let routed_device t r addr =
+  if r.r_gen = t.device_gen then r.r_device else lookup t addr
+
+let read_routed t r addr width =
   Cpu.charge t.cpu 1;
   mpu_check t ~addr ~access:Fault.Read;
-  match find_device t addr with
-  | Some d -> d.Device.read (addr - d.Device.base) width
-  | None -> fault_bus t ~addr ~access:Fault.Read
+  dispatch_read t (routed_device t r addr) addr width
 
-let write_device t addr width v =
+let write_routed t r addr width v =
   Cpu.charge t.cpu 1;
   mpu_check t ~addr ~access:Fault.Write;
-  match find_device t addr with
-  | Some d -> d.Device.write (addr - d.Device.base) width v
-  | None -> fault_bus t ~addr ~access:Fault.Write
+  dispatch_write t (routed_device t r addr) addr width v
 
 (* Privileged raw accessors for the monitor and the loader: bypass the
    MPU (the monitor runs on the background map) but still route devices. *)
@@ -200,19 +269,13 @@ let read_raw t addr width =
   Cpu.with_privilege t.cpu (fun () ->
       if Memory.contains t.flash addr then Memory.read t.flash addr width
       else if Memory.contains t.sram addr then Memory.read t.sram addr width
-      else
-        match find_device t addr with
-        | Some d -> d.Device.read (addr - d.Device.base) width
-        | None -> fault_bus t ~addr ~access:Fault.Read)
+      else device_read t addr width)
 
 let write_raw t addr width v =
   Cpu.with_privilege t.cpu (fun () ->
       if Memory.contains t.flash addr then Memory.write t.flash addr width v
       else if Memory.contains t.sram addr then Memory.write t.sram addr width v
-      else
-        match find_device t addr with
-        | Some d -> d.Device.write (addr - d.Device.base) width v
-        | None -> fault_bus t ~addr ~access:Fault.Write)
+      else device_write t addr width v)
 
 (* Check an instruction fetch from [addr] (function entry). *)
 let check_execute t addr =

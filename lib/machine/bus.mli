@@ -7,14 +7,27 @@
     permitted windows (a software TLB), tagged with the privilege level
     and the backend's {!Backend.gen}; misses and denials take
     {!Backend.check}, so every outcome, fault info included, equals the
-    uncached check. *)
+    uncached check.
+
+    Devices are found through a direct-mapped table indexed by the 4 KiB
+    page of the address, which {!attach} fills: each slot lists the
+    devices whose windows touch its pages, newest first, so on
+    overlapping windows the device attached last wins (SysTick, NVIC
+    and SCB share the page at 0xE000E000; a world's scripted GPIO port
+    overrides the latched default).  A {!type-route} binds an address
+    to its device ahead of time, guarded by a device generation that
+    every {!attach} bumps. *)
 
 (** Private: the backend changes only through {!set_protection}, which
     flushes the window cache. *)
 type t = private {
   flash : Memory.t;
   sram : Memory.t;
-  mutable devices : Device.t list;
+  mutable devices : Device.t list;  (** newest first *)
+  device_table : Device.t array array;
+      (** candidate devices per slot, a slot per 4 KiB page modulo its
+          size *)
+  mutable device_gen : int;  (** bumped by every {!attach} *)
   mutable prot : Backend.state;
   cpu : Cpu.t;
   cache : int array;
@@ -33,7 +46,12 @@ val protection : t -> Backend.state
     precedence on overlapping ranges. *)
 val attach : t -> Device.t -> unit
 
+(** The device owning an address: a device-table lookup. *)
 val find_device : t -> int -> Device.t option
+
+(** The same answer by scanning the attached devices in attach order,
+    newest first: the reference that {!find_device} is tested against. *)
+val find_device_linear : t -> int -> Device.t option
 
 (** [read t addr width] / [write t addr width v] perform checked
     accesses at the CPU's current privilege level, charging one cycle. *)
@@ -52,9 +70,20 @@ val write_sram : t -> int -> int -> int64 -> unit
 
 val read_flash : t -> int -> int -> int64
 
-val read_device : t -> int -> int -> int64
+(** A device lookup done ahead of time: the device owning an address
+    (or none) and the device generation it was looked up under. *)
+type route
 
-val write_device : t -> int -> int -> int64 -> unit
+val route : t -> int -> route
+
+(** [read_routed t r addr width] / [write_routed t r addr width v]
+    access a device outside flash, SRAM and the PPB, with {!read}'s
+    charge, MPU check and faults.  [r] must be [route t addr]; while no
+    device has been attached since, its device is used without a
+    lookup, otherwise the address is looked up again. *)
+val read_routed : t -> route -> int -> int -> int64
+
+val write_routed : t -> route -> int -> int -> int64 -> unit
 
 (** Privileged raw accessors for the loader and the monitor: bypass the
     MPU (background map) but still route to devices. *)

@@ -301,6 +301,12 @@ let periph_budget kind (meta : Metadata.op_meta) =
     | M.Backend.Poe -> Some (poe_periph_slots ~has_heap)
     | M.Backend.Cheri -> None)
 
+let periph_windows kind (meta : Metadata.op_meta) =
+  match kind with
+  | M.Backend.Poe -> List.length meta.Metadata.op.Operation.periph_ranges
+  | M.Backend.Mpu | M.Backend.Pmp | M.Backend.Cheri ->
+    List.length meta.Metadata.periph_regions
+
 type rotation = {
   slot : int;
   evicted : (int * int) option;

@@ -26,6 +26,11 @@ val install :
     {!rotate} cycles through the same slots. *)
 val periph_budget : M.Backend.kind -> Metadata.op_meta -> int option
 
+(** How many planned peripheral windows compete for those slots: the
+    region plan's chunks, which the MPU and PMP installers place, or the
+    merged peripheral ranges, which the POE installer keys. *)
+val periph_windows : M.Backend.kind -> Metadata.op_meta -> int
+
 (** One fault-time rotation: the slot rotated (MPU region, PMP entry or
     POE key), the window it took the slot from, if any, and the window
     now resident, each as [(base, size_log2)]. *)

@@ -144,70 +144,128 @@ let test_entry_budgets () =
    [Backend_plan.install] leaves resident: planned MPU regions / PMP
    entries minus the returned overflow, and keyed POE peripheral
    overlays. *)
+let check_budget_agreement label (image : C.Image.t) backend =
+  let diags = L.Checks.mpu_plan_validity image in
+  List.iter
+    (fun (op : C.Operation.t) ->
+      let name =
+        Printf.sprintf "%s %s %s" label (M.Backend.kind_name backend)
+          op.C.Operation.name
+      in
+      let meta = Option.get (C.Image.meta_of image op.C.Operation.name) in
+      let planned =
+        match backend with
+        | M.Backend.Poe -> List.length op.C.Operation.periph_ranges
+        | _ -> List.length meta.C.Metadata.periph_regions
+      in
+      let reported =
+        List.find_map
+          (fun (d : L.Diag.t) ->
+            match d.L.Diag.loc with
+            | L.Diag.Operation o
+              when o = op.C.Operation.name && d.L.Diag.code = "L003"
+                   && d.L.Diag.severity = L.Diag.Info ->
+              Some
+                (Scanf.sscanf d.L.Diag.message "%d peripheral %s exceed the %d"
+                   (fun _ _ b -> b))
+            | _ -> None)
+          diags
+      in
+      let st = M.Backend.create backend in
+      let heap =
+        if meta.C.Metadata.uses_heap then
+          image.C.Image.layout.C.Layout.heap_section
+        else None
+      in
+      let overflow =
+        C.Backend_plan.install st ~code_base:image.C.Image.code_base
+          ~code_bytes:image.C.Image.code_bytes ~layout:image.C.Image.layout
+          ~srd:0 ?heap meta.C.Metadata.section op
+      in
+      let resident =
+        match st with
+        | M.Backend.Poe_state poe ->
+          List.length
+            (List.filter
+               (fun (ov : M.Poe.overlay) ->
+                 ov.M.Poe.ov_key <> M.Poe.no_key
+                 && List.exists
+                      (fun (lo, hi) ->
+                        ov.M.Poe.ov_base < hi && lo < ov.M.Poe.ov_limit)
+                      op.C.Operation.periph_ranges)
+               (M.Poe.overlays poe))
+        | _ -> planned - List.length overflow
+      in
+      Alcotest.(check int) name (Option.value reported ~default:planned) resident)
+    image.C.Image.ops
+
+(* Two synthetic operations that stress the budget.  [dev_task] uses
+   the heap and drives five separate peripherals: the heap takes one of
+   the reserved MPU regions and one of the free POE keys, so only three
+   peripheral windows stay resident, and an installer that forgets the
+   heap slot keeps four.  [blk_task] drives two 7 KiB blocks, two merged
+   ranges that the region plan splits into three chunks each: six MPU
+   or PMP windows, but only two POE keys to hand out. *)
+let budget_pressure_program () =
+  let module B = Opec_ir.Build in
+  let periphs = Apps.Soc.[ usart1; usart2; sdio; ltdc; dma2d ] in
+  let blocks =
+    List.map
+      (fun (name, base) -> Opec_ir.Peripheral.v name ~base ~size:0x1C00)
+      [ ("BLK1", 0x4004_0000); ("BLK2", 0x4005_0000) ]
+  in
+  let touch pes =
+    List.map (fun pe -> B.store (B.reg pe 0) (B.l "v")) pes
+  in
+  let arena_bytes = 1024 in
+  Opec_ir.Program.v ~name:"budget-pressure"
+    ~globals:(Apps.Kheap.globals ~arena_bytes @ [ B.word "sum" ])
+    ~peripherals:(periphs @ blocks)
+    ~funcs:
+      (Apps.Kheap.funcs ~arena_bytes
+      @ [ B.func "dev_task" []
+            ([ B.call ~dst:"p" "malloc" [ B.c 16 ];
+               B.store (B.l "p") (B.c 7);
+               B.load "v" (B.l "p") ]
+            @ touch periphs
+            @ [ B.call "free" [ B.l "p" ];
+                B.store (B.gv "sum") (B.l "v");
+                B.ret0 ]);
+          B.func "blk_task" []
+            ((B.set "v" (B.c 3) :: touch blocks) @ [ B.ret0 ]);
+          B.func "main" []
+            [ B.call "dev_task" []; B.call "blk_task" []; B.halt ] ])
+    ()
+
 let test_budget_agreement () =
   List.iter
     (fun (app : Apps.App.t) ->
       List.iter
         (fun backend ->
-          let image = P.image (P.ctx ~backend app) in
-          let diags = L.Checks.mpu_plan_validity image in
-          List.iter
-            (fun (op : C.Operation.t) ->
-              let name =
-                Printf.sprintf "%s %s %s" app.Apps.App.app_name
-                  (M.Backend.kind_name backend) op.C.Operation.name
-              in
-              let meta = Option.get (C.Image.meta_of image op.C.Operation.name) in
-              let planned =
-                match backend with
-                | M.Backend.Poe -> List.length op.C.Operation.periph_ranges
-                | _ -> List.length meta.C.Metadata.periph_regions
-              in
-              let reported =
-                List.find_map
-                  (fun (d : L.Diag.t) ->
-                    match d.L.Diag.loc with
-                    | L.Diag.Operation o
-                      when o = op.C.Operation.name && d.L.Diag.code = "L003"
-                           && d.L.Diag.severity = L.Diag.Info ->
-                      Some
-                        (Scanf.sscanf d.L.Diag.message
-                           "%d peripheral %s exceed the %d" (fun _ _ b -> b))
-                    | _ -> None)
-                  diags
-              in
-              let st = M.Backend.create backend in
-              let heap =
-                if meta.C.Metadata.uses_heap then
-                  image.C.Image.layout.C.Layout.heap_section
-                else None
-              in
-              let overflow =
-                C.Backend_plan.install st ~code_base:image.C.Image.code_base
-                  ~code_bytes:image.C.Image.code_bytes
-                  ~layout:image.C.Image.layout ~srd:0 ?heap
-                  meta.C.Metadata.section op
-              in
-              let resident =
-                match st with
-                | M.Backend.Poe_state poe ->
-                  List.length
-                    (List.filter
-                       (fun (ov : M.Poe.overlay) ->
-                         ov.M.Poe.ov_key <> M.Poe.no_key
-                         && List.exists
-                              (fun (lo, hi) ->
-                                ov.M.Poe.ov_base < hi && lo < ov.M.Poe.ov_limit)
-                              op.C.Operation.periph_ranges)
-                       (M.Poe.overlays poe))
-                | _ -> planned - List.length overflow
-              in
-              Alcotest.(check int) name
-                (Option.value reported ~default:planned)
-                resident)
-            image.C.Image.ops)
+          check_budget_agreement app.Apps.App.app_name
+            (P.image (P.ctx ~backend app))
+            backend)
         M.Backend.[ Mpu; Pmp; Poe ])
-    (Apps.Registry.all_small ())
+    (Apps.Registry.all_small ());
+  List.iter
+    (fun backend ->
+      let image =
+        C.Compiler.compile ~backend (budget_pressure_program ())
+          (C.Dev_input.v [ "dev_task"; "blk_task" ])
+      in
+      let meta op = Option.get (C.Image.meta_of image op) in
+      let windows op =
+        ( List.length (meta op).C.Metadata.op.C.Operation.periph_ranges,
+          List.length (meta op).C.Metadata.periph_regions )
+      in
+      Alcotest.(check bool) "dev_task uses the heap" true
+        (meta "dev_task").C.Metadata.uses_heap;
+      Alcotest.(check (pair int int)) "dev_task: 5 ranges, 5 regions" (5, 5)
+        (windows "dev_task");
+      Alcotest.(check (pair int int)) "blk_task: 2 ranges, 6 regions" (2, 6)
+        (windows "blk_task");
+      check_budget_agreement "budget-pressure" image backend)
+    M.Backend.[ Mpu; Pmp; Poe ]
 
 (* --- MPU bit-identity against the pre-refactor recording ----------------- *)
 

@@ -255,10 +255,11 @@ let perform bus route addr =
   | Fast_read ->
     if in_arena M.Memmap.flash_base then ignore (M.Bus.read_flash bus addr 4)
     else if in_arena M.Memmap.sram_base then ignore (M.Bus.read_sram bus addr 4)
-    else ignore (M.Bus.read_device bus addr 4)
+    else ignore (M.Bus.read_routed bus (M.Bus.route bus addr) addr 4)
   | Fast_write ->
     if in_arena M.Memmap.sram_base then M.Bus.write_sram bus addr 4 0L
-    else if in_arena M.Memmap.periph_base then M.Bus.write_device bus addr 4 0L
+    else if in_arena M.Memmap.periph_base then
+      M.Bus.write_routed bus (M.Bus.route bus addr) addr 4 0L
     else M.Bus.write bus addr 4 0L
 
 (* Enable a state; on POE also open keys 0..3, so that a retag, a key

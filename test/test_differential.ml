@@ -251,6 +251,62 @@ let corpus_tests () =
         `Slow (test_corpus_case path))
     (Fz.Corpus.files corpus_dir)
 
+(* --- a device attached after translation ----------------------------------
+   The compiled engine binds a constant-address MMIO access to its device
+   when it translates the function.  A device attached afterwards over
+   that address must still win, as it does under the tree walker, which
+   looks every access up: same loaded value, same device writes, same
+   cycles, interpreter switches and monitor stats. *)
+
+let test_attach_after_translation () =
+  let late = Peripheral.v "LATE" ~base:0x4003_0000 ~size:0x400 in
+  let p =
+    Program.v ~name:"late-attach" ~globals:[ word "out" ]
+      ~peripherals:[ late ]
+      ~funcs:
+        [ func "t" []
+            [ load "v" (reg late 4);
+              store (reg late 8) E.(l "v" + c 1);
+              store (gv "out") (l "v");
+              ret0 ];
+          func "main" [] [ call "t" []; call "t" []; halt ] ]
+      ()
+  in
+  let image = C.Compiler.compile p (C.Dev_input.v [ "t" ]) in
+  let observe engine =
+    let written = ref [] in
+    let r =
+      Mon.Runner.prepare ~engine
+        ~devices:[ M.Device.stub "LATE" ~base:0x4003_0000 ~size:0x400 ]
+        image
+    in
+    M.Bus.attach r.Mon.Runner.bus
+      (M.Device.v "LATE-override" ~base:0x4003_0000 ~size:0x10
+         ~read:(fun off _ -> if off = 4 then 41L else 0L)
+         ~write:(fun off _ v -> if off = 8 then written := v :: !written));
+    Mon.Monitor.init r.Mon.Runner.monitor;
+    Ex.Interp.run ~reset_stack:false r.Mon.Runner.interp;
+    ( M.Bus.read_raw r.Mon.Runner.bus
+        (image.C.Image.map.Ex.Address_map.global_addr "out") 4,
+      !written,
+      Ex.Interp.cycles r.Mon.Runner.interp,
+      Ex.Interp.switches r.Mon.Runner.interp,
+      Mon.Monitor.stats r.Mon.Runner.monitor )
+  in
+  let out_t, written_t, cycles_t, switches_t, stats_t = observe Ex.Interp.Tree in
+  let out_c, written_c, cycles_c, switches_c, stats_c =
+    observe Ex.Interp.Compiled
+  in
+  Alcotest.(check int64) "tree reads the late device" 41L out_t;
+  Alcotest.(check (list int64)) "tree writes the late device" [ 42L; 42L ]
+    written_t;
+  Alcotest.(check int64) "compiled reads the late device" out_t out_c;
+  Alcotest.(check (list int64)) "compiled writes the late device" written_t
+    written_c;
+  Alcotest.(check int64) "cycles equal" cycles_t cycles_c;
+  Alcotest.(check int) "switches equal" switches_t switches_c;
+  Alcotest.(check bool) "monitor stats equal" true (stats_t = stats_c)
+
 let suite () =
   [ ( "differential",
       QCheck_alcotest.to_alcotest prop_transparent
@@ -261,4 +317,6 @@ let suite () =
                 ("engines agree on " ^ app.Apps.App.app_name)
                 `Slow (test_engines_agree app))
             (Apps.Registry.all ())
-         @ corpus_tests ()) ) ]
+         @ corpus_tests ()
+         @ [ Alcotest.test_case "device attached after translation" `Quick
+               test_attach_after_translation ]) ) ]

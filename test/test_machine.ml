@@ -178,13 +178,117 @@ let test_lcd_device () =
   Alcotest.(check int) "pixels" 2 (M.Lcd.pixels h);
   Alcotest.(check int64) "checksum" (Int64.add (Int64.mul 7L 31L) 8L) (M.Lcd.checksum h)
 
+(* --- device routing: the page table against the linear scan ------------- *)
+
+(* Every bundled app's devices, then the core peripherals in the order
+   [Runner.prepare] attaches them (SysTick, NVIC and SCB share the page
+   at 0xE000E000; PinLock, FatFs-uSD and Camera attach scripted GPIO
+   ports over the latched defaults), plus the switch-storm world: its
+   request generator's window at 0x40000000 and the core peripherals. *)
+let core_devices () =
+  [ M.Core_periph.systick ~cycles:(fun () -> 0L);
+    M.Core_periph.dwt ~cycles:(fun () -> 0L);
+    M.Core_periph.scb () ]
+
+let bundled_device_sets =
+  lazy
+    (("switch-storm",
+      M.Device.stub "REQGEN" ~base:0x4000_0000 ~size:0x400 :: core_devices ())
+    :: List.map
+         (fun (app : Opec_apps.App.t) ->
+           ( app.Opec_apps.App.app_name,
+             (app.Opec_apps.App.make_world ()).Opec_apps.App.devices
+             @ core_devices () ))
+         (Opec_apps.Registry.all_small ()))
+
+(* Random overlapping windows: some share pages, some span more pages
+   than the table has slots, some sit at or beyond 2^32. *)
+let gen_random_devices =
+  let open QCheck.Gen in
+  let base =
+    oneof
+      [ map (fun o -> 0x4000_0000 + o) (int_bound 0x3000);
+        map (fun o -> 0xE000_E000 + o) (int_bound 0x1000);
+        map (fun o -> (1 lsl 32) - 0x1000 + o) (int_bound 0x2000);
+        map (fun o -> o * 0x1000) (int_bound 0x600) ]
+  in
+  let size =
+    oneofl [ 0; 1; 4; 0x10; 0x400; 0x1000; 0x1400; 0x3000; 0x100000; 0x101000 ]
+  in
+  list_size (int_range 1 12)
+    (map2 (fun base size -> M.Device.stub "rnd" ~base ~size) base size)
+
+(* Addresses at device edges, at page boundaries around them, on the
+   shared PPB page, anywhere in the 32-bit space, below 0, and at or
+   above 2^32 (including the aliases of device addresses there). *)
+let gen_addr (devices : M.Device.t list) =
+  let open QCheck.Gen in
+  let dev = oneofl devices in
+  frequency
+    [ ( 4,
+        map2
+          (fun (d : M.Device.t) k ->
+            match k with
+            | 0 -> d.base - 1
+            | 1 -> d.base
+            | 2 -> d.base + d.size - 1
+            | 3 -> d.base + d.size
+            | _ -> d.base + (k * 37 mod max 1 d.size))
+          dev (int_bound 6) );
+      ( 2,
+        map3
+          (fun (d : M.Device.t) dp e -> (((d.base asr 12) + dp) lsl 12) + e)
+          dev (int_range (-2) 2) (int_range (-1) 1) );
+      (1, map (fun o -> 0xE000_E000 + o) (int_bound 0xFFF));
+      (1, int_bound ((1 lsl 32) - 1));
+      (1, map (fun o -> -1 - o) (int_bound 0x10000));
+      ( 1,
+        map2
+          (fun (d : M.Device.t) k -> d.base + (k lsl 20))
+          dev (oneofl [ 1; 4096; -4096 ]) ) ]
+
+let prop_device_table =
+  let open QCheck in
+  let gen =
+    Gen.(
+      frequency
+        [ ( 3,
+            map (fun i -> List.nth (Lazy.force bundled_device_sets) i)
+              (int_bound (List.length (Lazy.force bundled_device_sets) - 1)) );
+          (1, map (fun ds -> ("random", ds)) gen_random_devices) ]
+      >>= fun (label, devices) ->
+      map (fun addrs -> (label, devices, addrs))
+        (list_size (int_range 50 200) (gen_addr devices)))
+  in
+  let print (label, devices, addrs) =
+    Printf.sprintf "%s [%s] at [%s]" label
+      (String.concat "; "
+         (List.map
+            (fun (d : M.Device.t) -> Printf.sprintf "%s 0x%X+0x%X" d.name d.base d.size)
+            devices))
+      (String.concat "; " (List.map (Printf.sprintf "0x%X") addrs))
+  in
+  Test.make ~count:300 ~name:"device table = linear scan"
+    (make ~print gen)
+    (fun (_, devices, addrs) ->
+      let bus = M.Bus.create ~board in
+      List.iter (M.Bus.attach bus) devices;
+      List.for_all
+        (fun addr ->
+          match (M.Bus.find_device bus addr, M.Bus.find_device_linear bus addr) with
+          | Some a, Some b -> a == b
+          | None, None -> true
+          | _ -> false)
+        addrs)
+
 let suite () =
   [ ( "machine",
       [ Alcotest.test_case "memory map" `Quick test_memmap;
         Alcotest.test_case "memory read/write" `Quick test_memory_rw;
         Alcotest.test_case "bus routing" `Quick test_bus_routing;
         Alcotest.test_case "PPB privilege" `Quick test_ppb_privilege;
-        Alcotest.test_case "MPU on the bus" `Quick test_mpu_on_bus ] );
+        Alcotest.test_case "MPU on the bus" `Quick test_mpu_on_bus;
+        QCheck_alcotest.to_alcotest prop_device_table ] );
     ( "devices",
       [ Alcotest.test_case "uart" `Quick test_uart_device;
         Alcotest.test_case "sd card" `Quick test_sd_device;
