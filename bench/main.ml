@@ -305,7 +305,7 @@ let ablation () =
       let merged, naive, over =
         List.fold_left
           (fun (m, n, o) (op : C.Operation.t) ->
-            let regions = List.length (C.Mpu_plan.peripheral_regions op) in
+            let regions = List.length (C.Backend_plan.peripheral_regions op) in
             let periphs =
               Opec_core.Operation.SS.cardinal
                 op.C.Operation.resources.Opec_analysis.Resource.peripherals
@@ -382,7 +382,7 @@ let bechamel_tests () =
        Staged.stage (fun () -> ignore (Opec_analysis.Points_to.solve p)))
   in
   let mpu = Opec_machine.Mpu.create () in
-  Opec_machine.Mpu.set mpu 0 (Some C.Mpu_plan.background_region);
+  Opec_machine.Mpu.set mpu 0 (Some C.Backend_plan.background_region);
   Opec_machine.Mpu.enable mpu;
   let mpu_test =
     Test.make ~name:"mpu-check"

@@ -60,7 +60,7 @@ let () =
     | None -> assert false
   in
   Format.printf "busy_task needs %d peripheral MPU regions (4 reserved slots)@."
-    (List.length (C.Mpu_plan.peripheral_regions op));
+    (List.length (C.Backend_plan.peripheral_regions op));
 
   let r = Mon.Runner.run_protected ~devices:(devices ()) image in
   let stats = (Mon.Monitor.stats r.Mon.Runner.monitor) in

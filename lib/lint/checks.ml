@@ -158,11 +158,11 @@ let mpu_backend_plan_validity (image : C.Image.t) =
       | Some meta ->
         let code =
           fixed_region opn "code" (fun () ->
-              C.Mpu_plan.code_region ~code_base:image.code_base
+              C.Backend_plan.code_region ~code_base:image.code_base
                 ~code_bytes:image.code_bytes)
           @
           match
-            C.Mpu_plan.code_region ~code_base:image.code_base
+            C.Backend_plan.code_region ~code_base:image.code_base
               ~code_bytes:image.code_bytes
           with
           | r ->
@@ -180,13 +180,13 @@ let mpu_backend_plan_validity (image : C.Image.t) =
         in
         let stack =
           fixed_region opn "stack" (fun () ->
-              C.Mpu_plan.stack_region ~stack_base:image.layout.stack_base ())
+              C.Backend_plan.stack_region ~stack_base:image.layout.stack_base ())
         in
         let opdata =
           match meta.section with
           | None -> []
           | Some s ->
-            fixed_region opn "opdata" (fun () -> C.Mpu_plan.opdata_region s)
+            fixed_region opn "opdata" (fun () -> C.Backend_plan.opdata_region s)
             @
             if s.used > 1 lsl s.region_log2 then
               [ Diag.vf ~code:"L003" Diag.Error

@@ -66,7 +66,7 @@ let finish ~kind ~backend ~stimuli ~cycles ~wall ~check (agg : Obs.Agg.t) =
     r_p50 = Obs.Agg.hist_percentile h 0.5;
     r_p99 = Obs.Agg.hist_percentile h 0.99;
     r_p999 = Obs.Agg.hist_percentile h 0.999;
-    r_max = (if h.Obs.Agg.samples = 0 then 0L else h.Obs.Agg.max);
+    r_max = (if h.Obs.Agg.samples = 0 then 0L else Int64.of_int h.Obs.Agg.max);
     r_mean = Obs.Agg.hist_mean h;
     r_check = check }
 

@@ -125,6 +125,36 @@ let window st ~privileged ~addr ~access =
   | Cheri_state c -> Cheri.window c ~privileged ~addr ~access
   | Poe_state p -> Poe.window p ~privileged ~addr
 
+(* Privileged reads and writes pass at every address: the MPU and PMP
+   keep a count of what could restrict them, and CHERI's default
+   capability and POE's EL0-only overlays never do. *)
+let privileged_rw_unrestricted = function
+  | Mpu_state m -> Mpu.privileged_rw_unrestricted m
+  | Pmp_state p -> Pmp.privileged_rw_unrestricted p
+  | Cheri_state _ | Poe_state _ -> true
+
+type snapshot =
+  | Mpu_snap of Mpu.snapshot
+  | Pmp_snap of Pmp.snapshot
+  | Cheri_snap of Cheri.snapshot
+  | Poe_snap of Poe.snapshot
+
+let snapshot st ~since =
+  match st with
+  | Mpu_state m -> Mpu_snap (Mpu.snapshot m ~since)
+  | Pmp_state p -> Pmp_snap (Pmp.snapshot p ~since)
+  | Cheri_state c -> Cheri_snap (Cheri.snapshot c ~since)
+  | Poe_state p -> Poe_snap (Poe.snapshot p ~since)
+
+let restore st s =
+  match (st, s) with
+  | Mpu_state m, Mpu_snap s -> Mpu.restore m s
+  | Pmp_state p, Pmp_snap s -> Pmp.restore p s
+  | Cheri_state c, Cheri_snap s -> Cheri.restore c s
+  | Poe_state p, Poe_snap s -> Poe.restore p s
+  | (Mpu_state _ | Pmp_state _ | Cheri_state _ | Poe_state _), _ ->
+    invalid_arg "Backend.restore: snapshot of another backend"
+
 let enable = function
   | Mpu_state m -> Mpu.enable m
   | Pmp_state p -> Pmp.enable p

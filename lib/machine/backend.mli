@@ -56,3 +56,23 @@ val window :
   state -> privileged:bool -> addr:int -> access:Fault.access -> int * int
 
 val enable : state -> unit
+
+(** [true] when {!check} allows every privileged read and write at
+    every address: no MPU region restricts privileged access, no PMP
+    entry is locked; always for CHERI and POE, whose privileged
+    accesses bypass the table.  The setters keep what this reads, so it
+    costs a field test. *)
+val privileged_rw_unrestricted : state -> bool
+
+(** A backend's whole table as an install left it, and how many times
+    that install bumped {!gen}. *)
+type snapshot
+
+(** [snapshot st ~since] captures [st]'s table; [since] is {!gen}
+    before the install. *)
+val snapshot : state -> since:int -> snapshot
+
+(** Put the table back and bump {!gen} by the captured count, leaving
+    the state as the install left it, whatever ran in between.  Raises
+    [Invalid_argument] for a snapshot of another backend kind. *)
+val restore : state -> snapshot -> unit

@@ -263,8 +263,36 @@ let write_routed t r addr width v =
   mpu_check t ~addr ~access:Fault.Write;
   dispatch_write t (routed_device t r addr) addr width v
 
-(* Privileged raw accessors for the monitor and the loader: bypass the
-   MPU (the monitor runs on the background map) but still route devices. *)
+(* [read]/[write] at the privileged level, for the monitor's copies:
+   the same one-cycle charge and the same outcome, without a
+   [Cpu.with_privilege] round trip per word.  When the backend lets
+   privileged code read and write everywhere
+   ({!Backend.privileged_rw_unrestricted}, a field test), an access
+   inside SRAM — where the shadows, masters, relocation table and stack
+   live — can neither fault nor reach a device, so it goes straight to
+   memory; every other access takes [read]/[write] under
+   [with_privilege]. *)
+let read_priv t addr width =
+  if Backend.privileged_rw_unrestricted t.prot
+     && Memory.in_range t.sram addr width
+  then begin
+    Cpu.charge t.cpu 1;
+    Memory.read_unchecked t.sram addr width
+  end
+  else Cpu.with_privilege t.cpu (fun () -> read t addr width)
+
+let write_priv t addr width v =
+  if Backend.privileged_rw_unrestricted t.prot
+     && Memory.in_range t.sram addr width
+  then begin
+    Cpu.charge t.cpu 1;
+    Memory.write_unchecked t.sram addr width v
+  end
+  else Cpu.with_privilege t.cpu (fun () -> write t addr width v)
+
+(* Privileged raw accessors for the loader and for instrumentation that
+   inspects or tampers with memory: bypass the enforcement check and
+   charge nothing, but still route devices. *)
 let read_raw t addr width =
   Cpu.with_privilege t.cpu (fun () ->
       if Memory.contains t.flash addr then Memory.read t.flash addr width

@@ -85,8 +85,19 @@ val read_routed : t -> route -> int -> int -> int64
 
 val write_routed : t -> route -> int -> int -> int64 -> unit
 
-(** Privileged raw accessors for the loader and the monitor: bypass the
-    MPU (background map) but still route to devices. *)
+(** [read_priv t addr width] / [write_priv t addr width v] are
+    {!read}/{!write} run under {!Cpu.with_privilege}: the same cycle
+    charge, value, stores and faults.  When
+    {!Backend.privileged_rw_unrestricted} holds, SRAM accesses skip the
+    privilege switch and the enforcement check, which cannot deny them;
+    everything else takes that reference path. *)
+val read_priv : t -> int -> int -> int64
+
+val write_priv : t -> int -> int -> int64 -> unit
+
+(** Privileged raw accessors for the loader and for instrumentation
+    (attack injection, state digests): bypass the enforcement check and
+    charge no cycles, but still route to devices. *)
 val read_raw : t -> int -> int -> int64
 
 val write_raw : t -> int -> int -> int64 -> unit

@@ -97,6 +97,16 @@ let enable t =
   t.enforcing <- true;
   bump t
 
+type snapshot = { s_caps : cap list; s_enforcing : bool; s_bumps : int }
+
+let snapshot t ~since =
+  { s_caps = t.caps; s_enforcing = t.enforcing; s_bumps = t.gen - since }
+
+let restore t s =
+  t.caps <- s.s_caps;
+  t.enforcing <- s.s_enforcing;
+  t.gen <- t.gen + s.s_bumps
+
 let caps t = t.caps
 let cap_count t = List.length t.caps
 

@@ -44,6 +44,15 @@ val add : t -> cap -> unit
 val grant : t -> cap list -> unit
 val enable : t -> unit
 
+(** The capability table and enforcement bit as an install left them,
+    with the number of generation bumps since [since]. *)
+type snapshot
+
+val snapshot : t -> since:int -> snapshot
+
+(** Put a snapshot's table back and bump [gen] by its count. *)
+val restore : t -> snapshot -> unit
+
 val caps : t -> cap list
 val cap_count : t -> int
 val cap_matches : cap -> int -> bool

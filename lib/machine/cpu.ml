@@ -26,11 +26,21 @@ let cycles t = Int64.of_int t.cycles
 let drop_privilege t = t.privileged <- false
 
 (* Run [f] at the privileged level, restoring the previous level after —
-   the hardware exception-entry/exit semantics the monitor relies on. *)
+   the hardware exception-entry/exit semantics the monitor relies on.
+   A plain handler rather than [Fun.protect]: this runs on every SVC
+   trap, and the level must come back on a normal return and on any
+   exception alike. *)
 let with_privilege t f =
   let saved = t.privileged in
   t.privileged <- true;
-  Fun.protect ~finally:(fun () -> t.privileged <- saved) f
+  match f () with
+  | v ->
+    t.privileged <- saved;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    t.privileged <- saved;
+    Printexc.raise_with_backtrace e bt
 
 let pp fmt t =
   Fmt.pf fmt "cpu{%s sp=0x%08X cycles=%d}"

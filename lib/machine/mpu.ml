@@ -32,6 +32,9 @@ type t = {
   mutable gen : int;
       (** bumped by every setter: a cached permission decision tagged
           with an older value is stale *)
+  mutable priv_restricted : int;
+      (** resident regions whose privileged permission is not
+          read-write; kept by the setters *)
 }
 
 exception Invalid_region of string
@@ -41,7 +44,8 @@ let min_size_log2 = 5 (* 32 bytes *)
 let subregion_min_log2 = 8 (* SRD is only implemented for >= 256-byte regions *)
 
 let create () =
-  { enabled = false; regions = Array.make region_count None; gen = 0 }
+  { enabled = false; regions = Array.make region_count None; gen = 0;
+    priv_restricted = 0 }
 
 let region ?(srd = 0) ?(executable = false) ~base ~size_log2 ~privileged
     ~unprivileged () =
@@ -61,9 +65,15 @@ let region_size_for bytes =
   let log2 = go min_size_log2 in
   (1 lsl log2, log2)
 
+let restricts = function
+  | Some r -> r.privileged <> Read_write
+  | None -> false
+
 let set t slot r =
   if slot < 0 || slot >= region_count then
     raise (Invalid_region (Printf.sprintf "region number %d" slot));
+  if restricts t.regions.(slot) then t.priv_restricted <- t.priv_restricted - 1;
+  if restricts r then t.priv_restricted <- t.priv_restricted + 1;
   t.regions.(slot) <- r;
   t.gen <- t.gen + 1
 
@@ -79,7 +89,30 @@ let disable t =
 
 let clear t =
   Array.fill t.regions 0 region_count None;
+  t.priv_restricted <- 0;
   t.gen <- t.gen + 1
+
+(* Privileged reads and writes pass whatever the address: disabled, or
+   every resident region lets privileged code read and write, so only
+   the background map or a read-write region can decide. *)
+let privileged_rw_unrestricted t = (not t.enabled) || t.priv_restricted = 0
+
+type snapshot = {
+  s_enabled : bool;
+  s_regions : region option array;
+  s_restricted : int;
+  s_bumps : int;
+}
+
+let snapshot t ~since =
+  { s_enabled = t.enabled; s_regions = Array.copy t.regions;
+    s_restricted = t.priv_restricted; s_bumps = t.gen - since }
+
+let restore t s =
+  t.enabled <- s.s_enabled;
+  Array.blit s.s_regions 0 t.regions 0 region_count;
+  t.priv_restricted <- s.s_restricted;
+  t.gen <- t.gen + s.s_bumps
 
 (* Does [r] match [addr], taking disabled sub-regions into account? *)
 let region_matches r addr =

@@ -27,6 +27,9 @@ type t = private {
   mutable enabled : bool;
   regions : slots;
   mutable gen : int;
+  mutable priv_restricted : int;
+      (** how many resident regions give privileged code less than
+          read-write; {!set} and {!clear} keep it *)
 }
 
 exception Invalid_region of string
@@ -63,6 +66,21 @@ val get : t -> int -> region option
 val enable : t -> unit
 val disable : t -> unit
 val clear : t -> unit
+
+(** [true] when {!check} allows every privileged read and write: the
+    MPU is disabled, or no resident region restricts privileged
+    access (so the background map or a read-write region decides). *)
+val privileged_rw_unrestricted : t -> bool
+
+(** The whole table — enable bit and regions — as an install left it,
+    with the number of generation bumps since [since]. *)
+type snapshot
+
+val snapshot : t -> since:int -> snapshot
+
+(** Put a snapshot's table back and bump [gen] by the snapshot's count,
+    as replaying the setters that built it would. *)
+val restore : t -> snapshot -> unit
 
 (** Does the region match the address, honouring disabled sub-regions? *)
 val region_matches : region -> int -> bool

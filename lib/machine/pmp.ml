@@ -29,6 +29,7 @@ type t = {
   entries : slots;
   mutable enforcing : bool;
   mutable gen : int;  (** bumped by every setter *)
+  mutable locked_entries : int;  (** locked entries; kept by [set] *)
 }
 
 exception Invalid_entry of string
@@ -40,7 +41,8 @@ let create () =
       Array.make entry_count
         { mode = Off; r = false; w = false; x = false; locked = false };
     enforcing = false;
-    gen = 0 }
+    gen = 0;
+    locked_entries = 0 }
 
 let napot ?(locked = false) ~base ~size_log2 ~r ~w ~x () =
   if size_log2 < 3 || size_log2 > 32 then
@@ -58,6 +60,8 @@ let tor ?(locked = false) ~base ~limit ~r ~w ~x () =
 let set t i e =
   if i < 0 || i >= entry_count then
     raise (Invalid_entry (Printf.sprintf "entry number %d" i));
+  if t.entries.(i).locked then t.locked_entries <- t.locked_entries - 1;
+  if e.locked then t.locked_entries <- t.locked_entries + 1;
   t.entries.(i) <- e;
   t.gen <- t.gen + 1
 
@@ -66,6 +70,26 @@ let get t i = t.entries.(i)
 let enable t =
   t.enforcing <- true;
   t.gen <- t.gen + 1
+
+(* Machine mode passes every entry but a locked one. *)
+let privileged_rw_unrestricted t = (not t.enforcing) || t.locked_entries = 0
+
+type snapshot = {
+  s_entries : entry array;
+  s_enforcing : bool;
+  s_locked : int;
+  s_bumps : int;
+}
+
+let snapshot t ~since =
+  { s_entries = Array.copy t.entries; s_enforcing = t.enforcing;
+    s_locked = t.locked_entries; s_bumps = t.gen - since }
+
+let restore t s =
+  Array.blit s.s_entries 0 t.entries 0 entry_count;
+  t.enforcing <- s.s_enforcing;
+  t.locked_entries <- s.s_locked;
+  t.gen <- t.gen + s.s_bumps
 
 let matches e addr =
   match e.mode with

@@ -27,6 +27,7 @@ type t = private {
   entries : slots;
   mutable enforcing : bool;
   mutable gen : int;
+  mutable locked_entries : int;  (** locked entries; {!set} keeps it *)
 }
 
 exception Invalid_entry of string
@@ -47,6 +48,19 @@ val tor :
 val set : t -> int -> entry -> unit
 val get : t -> int -> entry
 val enable : t -> unit
+
+(** [true] when {!check} allows every privileged read and write: the
+    PMP is off, or no entry is locked. *)
+val privileged_rw_unrestricted : t -> bool
+
+(** The whole table — entries and enforcement bit — as an install left
+    it, with the number of generation bumps since [since]. *)
+type snapshot
+
+val snapshot : t -> since:int -> snapshot
+
+(** Put a snapshot's table back and bump [gen] by its count. *)
+val restore : t -> snapshot -> unit
 val matches : entry -> int -> bool
 val entry_allows : entry -> Fault.access -> bool
 

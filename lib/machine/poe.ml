@@ -86,6 +86,32 @@ let enable t =
   t.enforcing <- true;
   bump t
 
+let key_perm t key = (t.por.(key), t.por_x.(key))
+
+(* Overlays are retagged in place by key recycling, so a snapshot holds
+   its own copies and every restore hands the state fresh ones. *)
+type snapshot = {
+  s_overlays : overlay list;
+  s_por : perm array;
+  s_por_x : bool array;
+  s_enforcing : bool;
+  s_bumps : int;
+}
+
+let copy_overlays = List.map (fun ov -> { ov with ov_key = ov.ov_key })
+
+let snapshot t ~since =
+  { s_overlays = copy_overlays t.overlays; s_por = Array.copy t.por;
+    s_por_x = Array.copy t.por_x; s_enforcing = t.enforcing;
+    s_bumps = t.gen - since }
+
+let restore t s =
+  t.overlays <- copy_overlays s.s_overlays;
+  Array.blit s.s_por 0 t.por 0 key_count;
+  Array.blit s.s_por_x 0 t.por_x 0 key_count;
+  t.enforcing <- s.s_enforcing;
+  t.gen <- t.gen + s.s_bumps
+
 let overlays t = t.overlays
 
 let find t addr =

@@ -42,6 +42,21 @@ val clear : t -> unit
 val add : t -> overlay -> unit
 val set_key : t -> int -> ?x:bool -> perm -> unit
 val enable : t -> unit
+
+(** A key's unprivileged data permission and execute bit. *)
+val key_perm : t -> int -> perm * bool
+
+(** Overlays, keys and enforcement bit as an install left them, with the
+    number of generation bumps since [since]. *)
+type snapshot
+
+val snapshot : t -> since:int -> snapshot
+
+(** Put a snapshot's table back (as fresh overlay records, so key
+    recycling never writes into the snapshot) and bump [gen] by its
+    count. *)
+val restore : t -> snapshot -> unit
+
 val overlays : t -> overlay list
 val find : t -> int -> overlay option
 

@@ -140,7 +140,7 @@ let breakdown_of ~app_name ~base_cycles ~prot_cycles
   let sync = ph Obs.Sink.Sync in
   let relocate = ph Obs.Sink.Relocate in
   let mpu = ph Obs.Sink.Mpu_config in
-  let init = agg.Obs.Agg.init_cycles in
+  let init = Int64.of_int agg.Obs.Agg.init_cycles in
   let svc = Int64.mul svc_trap_cycles (Int64.of_int agg.Obs.Agg.svc_marks) in
   let accounted =
     List.fold_left Int64.add 0L [ sanitize; sync; relocate; mpu; svc ]

@@ -1,6 +1,12 @@
 (** Per-operation aggregation over a telemetry stream: switch-latency
     histograms, a source→destination switch matrix, and per-phase cycle
-    and byte totals (paper, Section 6.3). *)
+    and byte totals (paper, Section 6.3).
+
+    Counters are native [int]s, so {!add} allocates nothing once an
+    operation and a switch pair have been seen: operation and matrix
+    lookups are remembered by the physical identity of the name strings
+    an emitter passes, falling back to the structural tables for a
+    string not seen before. *)
 
 val hist_buckets : int
 
@@ -9,9 +15,9 @@ val hist_buckets : int
 type hist = {
   buckets : int array;
   mutable samples : int;
-  mutable total : int64;
-  mutable min : int64;
-  mutable max : int64;
+  mutable total : int;
+  mutable min : int;  (** [max_int] while empty *)
+  mutable max : int;
 }
 
 val hist_create : unit -> hist
@@ -28,7 +34,7 @@ val hist_mean : hist -> float
 val hist_percentile : hist -> float -> int64
 
 type phase_total = {
-  mutable pt_cycles : int64;
+  mutable pt_cycles : int;
   mutable pt_bytes : int;
   mutable pt_samples : int;
 }
@@ -49,9 +55,12 @@ type op_agg = {
   mutable op_denials : int;
 }
 
+(** Lookups remembered by physical name identity. *)
+type memo
+
 type t = {
   ops : (string, op_agg) Hashtbl.t;
-  matrix : (string * string, int) Hashtbl.t;
+  matrix : (string * string, int ref) Hashtbl.t;
   all_latency : hist;
   totals : phase_total array;
   mutable switch_spans : int;   (** Enter + Exit + Thread spans *)
@@ -60,9 +69,10 @@ type t = {
   mutable emulation_events : int;
   mutable denial_events : int;
   mutable svc_marks : int;
-  mutable switch_cycles : int64;
-  mutable init_cycles : int64;
+  mutable switch_cycles : int;
+  mutable init_cycles : int;
   mutable synced_bytes : int;
+  memo : memo;
 }
 
 val create : unit -> t

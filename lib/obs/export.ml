@@ -16,7 +16,7 @@ let text ?(events = false) (evs : Sink.event list) : string =
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   pf "switch spans     %d (enter/exit/thread)\n" a.Agg.switch_spans;
   pf "init spans       %d\n" a.Agg.init_spans;
-  pf "switch cycles    %Ld (+ %Ld init)\n" a.Agg.switch_cycles
+  pf "switch cycles    %d (+ %d init)\n" a.Agg.switch_cycles
     a.Agg.init_cycles;
   pf "region swaps     %d\n" a.Agg.swap_events;
   pf "ppb emulations   %d\n" a.Agg.emulation_events;
@@ -28,7 +28,7 @@ let text ?(events = false) (evs : Sink.event list) : string =
     (fun p ->
       let i = Agg.phase_index p in
       let c = a.Agg.totals.(i) in
-      pf "  %-10s %10Ld cycles %10d bytes %6d legs\n" (Sink.phase_name p)
+      pf "  %-10s %10d cycles %10d bytes %6d legs\n" (Sink.phase_name p)
         c.Agg.pt_cycles c.Agg.pt_bytes c.Agg.pt_samples)
     Sink.phases;
   let ops = Agg.ops_by_cost a in
@@ -38,7 +38,7 @@ let text ?(events = false) (evs : Sink.event list) : string =
       "exit" "thr" "cycles" "mean" "bytes" "swap" "emu" "deny";
     List.iter
       (fun (o : Agg.op_agg) ->
-        pf "  %-20s %6d %6d %6d %10Ld %9.1f %10d %5d %5d %5d\n" o.Agg.op_name
+        pf "  %-20s %6d %6d %6d %10d %9.1f %10d %5d %5d %5d\n" o.Agg.op_name
           o.Agg.enters o.Agg.exits o.Agg.threads o.Agg.op_latency.Agg.total
           (Agg.hist_mean o.Agg.op_latency)
           o.Agg.op_synced_bytes o.Agg.op_swaps o.Agg.op_emulations
@@ -59,7 +59,7 @@ let text ?(events = false) (evs : Sink.event list) : string =
       (fun i n ->
         if n > 0 then pf "  [%7d..%7d] %6d\n" (1 lsl i) ((1 lsl (i + 1)) - 1) n)
       a.Agg.all_latency.Agg.buckets;
-    pf "  min %Ld  mean %.1f  max %Ld\n" a.Agg.all_latency.Agg.min
+    pf "  min %d  mean %.1f  max %d\n" a.Agg.all_latency.Agg.min
       (Agg.hist_mean a.Agg.all_latency)
       a.Agg.all_latency.Agg.max
   end;
@@ -128,15 +128,15 @@ let json_event (e : Sink.event) =
 
 let json (evs : Sink.event list) : string =
   let a = Agg.of_events evs in
-  let int = Json.int and i64 = Json.int64 in
+  let int = Json.int in
   Json.rows
     [ ( "summary",
         Json.Spaced,
         Json.Obj
           [ ("switch_spans", int a.Agg.switch_spans);
             ("init_spans", int a.Agg.init_spans);
-            ("switch_cycles", i64 a.Agg.switch_cycles);
-            ("init_cycles", i64 a.Agg.init_cycles);
+            ("switch_cycles", int a.Agg.switch_cycles);
+            ("init_cycles", int a.Agg.init_cycles);
             ("region_swaps", int a.Agg.swap_events);
             ("emulations", int a.Agg.emulation_events);
             ("denials", int a.Agg.denial_events);
@@ -150,7 +150,7 @@ let json (evs : Sink.event list) : string =
                let c = a.Agg.totals.(Agg.phase_index p) in
                ( Sink.phase_name p,
                  Json.Obj
-                   [ ("cycles", i64 c.Agg.pt_cycles);
+                   [ ("cycles", int c.Agg.pt_cycles);
                      ("bytes", int c.Agg.pt_bytes);
                      ("legs", int c.Agg.pt_samples) ] ))
              Sink.phases) );
@@ -163,7 +163,7 @@ let json (evs : Sink.event list) : string =
                  [ ("name", Json.Str o.Agg.op_name);
                    ("enters", int o.Agg.enters); ("exits", int o.Agg.exits);
                    ("threads", int o.Agg.threads);
-                   ("cycles", i64 o.Agg.op_latency.Agg.total);
+                   ("cycles", int o.Agg.op_latency.Agg.total);
                    ("mean_cycles", Json.fixed 1 (Agg.hist_mean o.Agg.op_latency));
                    ("synced_bytes", int o.Agg.op_synced_bytes);
                    ("swaps", int o.Agg.op_swaps);

@@ -7,9 +7,8 @@
    slots the plan reserves for them (Section 5.2's MPU virtualization
    and its PMP and POE counterparts):
 
-   - MPU:   the fixed 8-region plan of {!Mpu_plan} (regions beyond the
-            four reserved peripheral slots overflow into runtime
-            virtualization);
+   - MPU:   a fixed 8-region plan (regions beyond the four reserved
+            peripheral slots overflow into runtime virtualization);
    - PMP:   a 16-entry translation of the MPU plan (lowest-match-wins,
             TOR stack prefix instead of sub-region masking);
    - CHERI: a per-operation capability table — one precise grant per
@@ -28,7 +27,11 @@
    the plan keeps resident — are computed by one function here
    ([mpu_periph_slots], [pmp_periph_slots], [poe_periph_slots]) that the
    installer fills, the rotation cycles through, and lint reads through
-   [periph_budget]. *)
+   [periph_budget].
+
+   Everything [install] writes is fixed by the image, the operation and
+   the stack mask, so [install_cached] remembers the table it leaves
+   per (operation id, mask) and restores it on later switches. *)
 
 module M = Opec_machine
 
@@ -44,6 +47,81 @@ let stack_limit_of_srd ~stack_base ~stack_top srd =
     in
     stack_base + (first_disabled 0 * Config.stack_subregion_size)
 
+(* --- MPU regions (Section 5.2) ---------------------------------------------- *)
+
+(* Fixed plan per operation:
+   - region 0: background — code and SRAM readable, nothing writable at
+     the unprivileged level (peripheral space is deliberately outside it,
+     so unlisted peripherals fault);
+   - region 1: application code, unprivileged read + execute;
+   - region 2: the application stack, read-write, with sub-regions
+     disabled dynamically by the monitor;
+   - region 3: the operation's data section, read-write;
+   - regions 4..7: the operation's (merged) peripheral ranges; ranges
+     beyond four regions are virtualized by the monitor at runtime.
+
+   A merged peripheral range that cannot be covered by one aligned
+   power-of-two region is split into multiple chunks, which is why "one
+   peripheral may need two more MPU regions" (Section 5.2).  The PMP
+   plan below translates these regions. *)
+
+let background_region =
+  M.Mpu.region ~base:0x0 ~size_log2:30 ~privileged:M.Mpu.Read_write
+    ~unprivileged:M.Mpu.Read_only ()
+
+let code_region ~code_base ~code_bytes =
+  let _, log2 = M.Mpu.region_size_for code_bytes in
+  (* align the base down to the region size; flash base is 2^27-aligned *)
+  let size = 1 lsl log2 in
+  let base = code_base land lnot (size - 1) in
+  M.Mpu.region ~executable:true ~base ~size_log2:log2
+    ~privileged:M.Mpu.Read_write ~unprivileged:M.Mpu.Read_only ()
+
+let stack_region ~stack_base ?(srd = 0) () =
+  let log2 =
+    let rec go k = if 1 lsl k >= Config.stack_size then k else go (k + 1) in
+    go M.Mpu.min_size_log2
+  in
+  M.Mpu.region ~srd ~base:stack_base ~size_log2:log2
+    ~privileged:M.Mpu.Read_write ~unprivileged:M.Mpu.Read_write ()
+
+(* the heap section: read-write for operations that use the heap *)
+let heap_region (section : Layout.section) =
+  M.Mpu.region ~base:section.Layout.base ~size_log2:section.Layout.region_log2
+    ~privileged:M.Mpu.Read_write ~unprivileged:M.Mpu.Read_write ()
+
+let opdata_region (section : Layout.section) =
+  M.Mpu.region ~base:section.Layout.base ~size_log2:section.Layout.region_log2
+    ~privileged:M.Mpu.Read_write ~unprivileged:M.Mpu.Read_write ()
+
+(* Cover [lo, hi) with aligned power-of-two regions, greedily taking the
+   largest chunk legal at the current base. *)
+let cover_range (lo, hi) =
+  let rec largest_at base remaining k =
+    let size = 1 lsl (k + 1) in
+    if size <= remaining && base land (size - 1) = 0 && k + 1 <= 30 then
+      largest_at base remaining (k + 1)
+    else k
+  in
+  let rec go base acc =
+    if base >= hi then List.rev acc
+    else
+      let remaining = hi - base in
+      let k =
+        if remaining < 32 then M.Mpu.min_size_log2
+        else largest_at base remaining (M.Mpu.min_size_log2 - 1)
+      in
+      let k = max k M.Mpu.min_size_log2 in
+      go (base + (1 lsl k)) ((base, k) :: acc)
+  in
+  go lo []
+
+let peripheral_regions (op : Operation.t) =
+  List.concat_map cover_range op.Operation.periph_ranges
+  |> List.map (fun (base, size_log2) ->
+         M.Mpu.region ~base ~size_log2 ~privileged:M.Mpu.Read_write
+           ~unprivileged:M.Mpu.Read_write ())
+
 (* --- MPU ------------------------------------------------------------------ *)
 
 (* The reserved peripheral regions 4..7; a heap-using operation's heap
@@ -55,19 +133,19 @@ let mpu_periph_slots ~has_heap =
 let install_mpu mpu ~code_base ~code_bytes ~stack_base ~srd ?heap
     (section : Layout.section option) (op : Operation.t) =
   M.Mpu.clear mpu;
-  M.Mpu.set mpu Config.region_background (Some Mpu_plan.background_region);
+  M.Mpu.set mpu Config.region_background (Some background_region);
   M.Mpu.set mpu Config.region_code
-    (Some (Mpu_plan.code_region ~code_base ~code_bytes));
+    (Some (code_region ~code_base ~code_bytes));
   M.Mpu.set mpu Config.region_stack
-    (Some (Mpu_plan.stack_region ~stack_base ~srd ()));
-  M.Mpu.set mpu Config.region_opdata (Option.map Mpu_plan.opdata_region section);
+    (Some (stack_region ~stack_base ~srd ()));
+  M.Mpu.set mpu Config.region_opdata (Option.map opdata_region section);
   Option.iter
     (fun hs ->
       M.Mpu.set mpu Config.peripheral_region_first
-        (Some (Mpu_plan.heap_region hs)))
+        (Some (heap_region hs)))
     heap;
   let first, budget = mpu_periph_slots ~has_heap:(heap <> None) in
-  let periphs = Mpu_plan.peripheral_regions op in
+  let periphs = peripheral_regions op in
   List.iteri
     (fun i r -> if i < budget then M.Mpu.set mpu (first + i) (Some r))
     periphs;
@@ -137,7 +215,7 @@ let install_pmp pmp ~code_base ~code_bytes ~stack_base ~stack_limit ?heap
   let _, room =
     pmp_periph_slots ~has_section:(section <> None) ~has_heap:(heap <> None)
   in
-  let periphs = Mpu_plan.peripheral_regions op in
+  let periphs = peripheral_regions op in
   List.iteri (M.Pmp.set pmp)
     (fixed
     @ List.map pmp_of_mpu_region (List.filteri (fun i _ -> i < room) periphs));
@@ -288,6 +366,43 @@ let install st ~code_base ~code_bytes ~(layout : Layout.t) ~srd ?heap
     install_poe p ~code_base ~code_bytes ~stack_base ~stack_limit ?heap
       section op;
     []
+
+(* --- installed-plan snapshots ------------------------------------------------ *)
+
+(* Stack masks are 8-bit sub-region disable masks. *)
+let srd_masks = 256
+
+(* [table] holds, per (operation id, mask), the backend table the first
+   install of that key left; it belongs to [owner], the backend state it
+   was taken on. *)
+type plan_cache = {
+  mutable owner : M.Backend.state option;
+  table : M.Backend.snapshot option array;
+}
+
+let plan_cache ~ops = { owner = None; table = Array.make (ops * srd_masks) None }
+
+(* Install the operation's plan, from its snapshot when this cache has
+   one for the (operation id, srd) key: a restore leaves the same table
+   and bumps the generation as often as [install] would, so nothing the
+   bus or the fault handlers see can tell the two apart.  A first
+   install on a different backend state drops every snapshot. *)
+let install_cached cache ~id st ~code_base ~code_bytes ~layout ~srd ?heap
+    section op =
+  if srd land lnot (srd_masks - 1) <> 0 then
+    invalid_arg "Backend_plan.install_cached: srd out of range";
+  (match cache.owner with
+  | Some o when o == st -> ()
+  | Some _ | None ->
+    Array.fill cache.table 0 (Array.length cache.table) None;
+    cache.owner <- Some st);
+  let key = (id * srd_masks) + srd in
+  match cache.table.(key) with
+  | Some s -> M.Backend.restore st s
+  | None ->
+    let since = M.Backend.gen st in
+    ignore (install st ~code_base ~code_bytes ~layout ~srd ?heap section op);
+    cache.table.(key) <- Some (M.Backend.snapshot st ~since)
 
 (* --- resident budget and fault-time rotation -------------------------------- *)
 

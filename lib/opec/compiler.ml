@@ -67,7 +67,8 @@ let back ?(board = Opec_machine.Memmap.stm32f4_discovery)
   Atomic.incr invocations;
   let classification = Partition.classify_globals program ops in
   let layout = Layout.build ~sort_sections ~backend program ops classification in
-  let metas = Metadata.build ~cls:classification layout input ops in
+  let metas = Metadata.build ~cls:classification
+      ~periph_regions:Backend_plan.peripheral_regions layout input ops in
   let syncsets =
     match syncsets with
     | Some s -> s

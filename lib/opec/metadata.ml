@@ -24,8 +24,8 @@ let bytes_of ~shadow_count ~periph_region_count ~sanitize_count ~stack_args =
   + (stack_args * Config.metadata_stack_arg_entry_bytes)
   + (shadow_count * Config.metadata_reloc_entry_bytes)
 
-let build ?(cls : Partition.classification option) (layout : Layout.t)
-    (input : Dev_input.t) (ops : Operation.t list) =
+let build ?(cls : Partition.classification option) ~periph_regions
+    (layout : Layout.t) (input : Dev_input.t) (ops : Operation.t list) =
   List.map
     (fun (op : Operation.t) ->
       let section = Layout.section_of layout op.Operation.name in
@@ -45,7 +45,7 @@ let build ?(cls : Partition.classification option) (layout : Layout.t)
           input.Dev_input.sanitize
       in
       let stack_info = Dev_input.stack_info_for input op.Operation.entry in
-      let periph_regions = Mpu_plan.peripheral_regions op in
+      let periph_regions = periph_regions op in
       let stack_args =
         match stack_info with
         | None -> 0

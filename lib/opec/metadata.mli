@@ -18,9 +18,12 @@ val bytes_of :
   shadow_count:int -> periph_region_count:int -> sanitize_count:int ->
   stack_args:int -> int
 
-(** Build the metadata table; [cls] marks the heap-using operations. *)
+(** Build the metadata table; [cls] marks the heap-using operations and
+    [periph_regions] plans an operation's peripheral MPU regions
+    ([Backend_plan.peripheral_regions]). *)
 val build :
-  ?cls:Partition.classification -> Layout.t -> Dev_input.t ->
-  Operation.t list -> (string * op_meta) list
+  ?cls:Partition.classification ->
+  periph_regions:(Operation.t -> Opec_machine.Mpu.region list) ->
+  Layout.t -> Dev_input.t -> Operation.t list -> (string * op_meta) list
 
 val total_bytes : (string * op_meta) list -> int

@@ -7,7 +7,6 @@ module Dev_input = Dev_input
 module Operation = Operation
 module Partition = Partition
 module Layout = Layout
-module Mpu_plan = Mpu_plan
 module Backend_plan = Backend_plan
 module Instrument = Instrument
 module Metadata = Metadata

@@ -382,6 +382,128 @@ let test_pinned_runs () =
       pinned_ref out e a
   end
 
+(* --- installed-plan snapshots -------------------------------------------- *)
+
+(* A backend state's whole table, read through the units' accessors
+   and printers rather than through their snapshots. *)
+let poe_perm fmt p =
+  Fmt.string fmt
+    (match p with
+    | M.Poe.No_access -> "NA"
+    | M.Poe.Read_only -> "RO"
+    | M.Poe.Read_write -> "RW")
+
+let table_of st =
+  let open Fmt in
+  match st with
+  | M.Backend.Mpu_state m ->
+    str "enabled=%b restricted=%d@ %a" m.M.Mpu.enabled m.M.Mpu.priv_restricted
+      (list ~sep:sp (option ~none:(any "-") M.Mpu.pp_region))
+      (List.init M.Mpu.region_count (M.Mpu.get m))
+  | M.Backend.Pmp_state p ->
+    str "enforcing=%b locked=%d@ %a" p.M.Pmp.enforcing p.M.Pmp.locked_entries
+      (list ~sep:sp M.Pmp.pp_entry)
+      (List.init M.Pmp.entry_count (M.Pmp.get p))
+  | M.Backend.Cheri_state c ->
+    str "enforcing=%b@ %a" c.M.Cheri.enforcing (list ~sep:sp M.Cheri.pp_cap)
+      (M.Cheri.caps c)
+  | M.Backend.Poe_state p ->
+    str "enforcing=%b@ %a@ keys %a" p.M.Poe.enforcing
+      (list ~sep:sp M.Poe.pp_overlay) (M.Poe.overlays p)
+      (list ~sep:sp (pair ~sep:(any "/") poe_perm bool))
+      (List.init M.Poe.key_count (M.Poe.key_perm p))
+
+(* Every mask [Monitor]'s [srd_for] can produce: none, or every
+   sub-region above the one holding the stack pointer. *)
+let srd_masks = 0 :: List.init 7 (fun k -> 0xFF land lnot ((1 lsl (k + 1)) - 1))
+
+(* For every workload, backend, operation and stack mask, an install
+   restored from [Backend_plan.install_cached]'s snapshot leaves the
+   table a fresh [Backend_plan.install] leaves, and bumps the
+   generation as often, after the table was dirtied by another
+   operation's plan, by fault-time rotations of the operation's own
+   peripheral windows and, on POE, by retagging every overlay in place
+   (which must not reach the snapshot's copies).  Two rounds, so a
+   restored table is dirtied and restored again. *)
+let test_snapshot_restore () =
+  List.iter
+    (fun (app : Apps.App.t) ->
+      List.iter
+        (fun kind ->
+          let image = P.image (P.ctx ~backend:kind app) in
+          let metas = Array.of_list image.C.Image.metas in
+          let n = Array.length metas in
+          let install_args (meta : C.Metadata.op_meta) =
+            let heap =
+              if meta.C.Metadata.uses_heap then
+                image.C.Image.layout.C.Layout.heap_section
+              else None
+            in
+            (heap, meta.C.Metadata.section, meta.C.Metadata.op)
+          in
+          let install st ~srd meta =
+            let heap, section, op = install_args meta in
+            ignore
+              (C.Backend_plan.install st ~code_base:image.C.Image.code_base
+                 ~code_bytes:image.C.Image.code_bytes
+                 ~layout:image.C.Image.layout ~srd ?heap section op)
+          in
+          Array.iteri
+            (fun id (opn, meta) ->
+              List.iter
+                (fun srd ->
+                  let label =
+                    Printf.sprintf "%s %s %s srd=0x%02X" app.Apps.App.app_name
+                      (M.Backend.kind_name kind) opn srd
+                  in
+                  let fresh = M.Backend.create kind in
+                  let g0 = M.Backend.gen fresh in
+                  install fresh ~srd meta;
+                  let bumps = M.Backend.gen fresh - g0 in
+                  let cache = C.Backend_plan.plan_cache ~ops:n in
+                  let st = M.Backend.create kind in
+                  let cached () =
+                    let heap, section, op = install_args meta in
+                    C.Backend_plan.install_cached cache ~id st
+                      ~code_base:image.C.Image.code_base
+                      ~code_bytes:image.C.Image.code_bytes
+                      ~layout:image.C.Image.layout ~srd ?heap section op
+                  in
+                  cached ();
+                  Alcotest.(check string) (label ^ ": first install")
+                    (table_of fresh) (table_of st);
+                  for round = 1 to 2 do
+                    let rotate () =
+                      List.iteri
+                        (fun i (base, _) ->
+                          ignore
+                            (C.Backend_plan.rotate st ~meta ~next:(i + round)
+                               ~addr:base))
+                        meta.C.Metadata.op.C.Operation.periph_ranges
+                    in
+                    rotate ();
+                    (match st with
+                    | M.Backend.Poe_state p ->
+                      List.iter
+                        (fun (ov : M.Poe.overlay) ->
+                          M.Poe.retag p ov ((ov.M.Poe.ov_key + 2) mod M.Poe.key_count))
+                        (M.Poe.overlays p)
+                    | _ -> ());
+                    install st ~srd:0 (snd metas.((id + round) mod n));
+                    rotate ();
+                    let g1 = M.Backend.gen st in
+                    cached ();
+                    let what = Printf.sprintf "%s: restore %d" label round in
+                    Alcotest.(check string) (what ^ " table")
+                      (table_of fresh) (table_of st);
+                    Alcotest.(check int) (what ^ " generation bumps") bumps
+                      (M.Backend.gen st - g1)
+                  done)
+                srd_masks)
+            metas)
+        M.Backend.all_kinds)
+    (Apps.Registry.all_small ())
+
 let suite () =
   [ ( "backends",
       [ Alcotest.test_case "region_fit alignment edges" `Quick
@@ -401,4 +523,6 @@ let suite () =
         Alcotest.test_case "pinned cycles and stats, 7 apps x 4 backends"
           `Slow test_pinned_runs;
         Alcotest.test_case "lint budget = resident windows" `Quick
-          test_budget_agreement ] ) ]
+          test_budget_agreement;
+        Alcotest.test_case "restored plan snapshot = fresh install" `Quick
+          test_snapshot_restore ] ) ]

@@ -586,6 +586,139 @@ let test_invalidation_events () =
       expect_fault name bus)
     M.Backend.all_kinds
 
+(* --- privileged accessors -------------------------------------------------- *)
+
+(* [Bus.read_priv]/[write_priv] against their reference, [Bus.read]/
+   [write] under [Cpu.with_privilege], on two buses whose backend states
+   take the same random setters: each access must return the same value
+   or raise the same fault, charge the same cycles, leave the same
+   privilege level and, for a write, the same memory.  The setters
+   reach privileged read-only and no-access MPU regions and locked PMP
+   entries, which deny privileged accesses and so must send the fast
+   path back to the reference.  Addresses cover the arenas, the last
+   words of SRAM (an access straddling its end), the PPB and an
+   unmapped address. *)
+type priv_op =
+  | P_set of setter
+  | P_priv of bool  (** the level the accessor is called from *)
+  | P_access of { write : bool; addr : int; width : int; value : int64 }
+
+let pp_priv_op fmt = function
+  | P_set s -> Fmt.pf fmt "setter: %s" s.s_label
+  | P_priv b -> Fmt.pf fmt "cpu.privileged <- %b" b
+  | P_access { write; addr; width; value } ->
+    if write then Fmt.pf fmt "write_priv 0x%08X/%d <- 0x%Lx" addr width value
+    else Fmt.pf fmt "read_priv 0x%08X/%d" addr width
+
+let board = M.Memmap.stm32f4_discovery
+
+let gen_priv_addr =
+  let sram_end = M.Memmap.sram_base + board.M.Memmap.sram_size in
+  G.frequency
+    [ (8, gen_addr);
+      (1, G.map (fun k -> sram_end - 1 - k) (G.int_bound 6));
+      (1, G.map (fun k -> M.Memmap.ppb_base + (4 * k)) (G.int_bound 16));
+      (1, G.return M.Memmap.external_ram_base) ]
+
+let gen_priv_program kind =
+  let access =
+    G.(
+      bool >>= fun write ->
+      gen_priv_addr >>= fun addr ->
+      oneofl [ 1; 4 ] >>= fun width ->
+      map Int64.of_int (int_bound 0xFFFF_FFFF) >|= fun value ->
+      P_access { write; addr; width; value })
+  in
+  G.list_size (G.int_range 10 80)
+    (G.frequency
+       [ (4, G.map (fun s -> P_set s) (gen_setter kind gen_addr));
+         (1, G.map (fun b -> P_priv b) G.bool);
+         (8, access) ])
+
+let run_priv_program kind ops =
+  let make () =
+    let bus = M.Bus.create ~board in
+    M.Bus.attach bus
+      (M.Device.stub "periph" ~base:M.Memmap.periph_base ~size:arena_bytes);
+    let st = M.Backend.create kind in
+    open_state st;
+    M.Bus.set_protection bus st;
+    bus.M.Bus.cpu.M.Cpu.privileged <- false;
+    bus
+  in
+  let fast = make () and slow = make () in
+  let outcome f =
+    match f () with
+    | v -> Ok v
+    | exception Fault.Mem_manage i -> Error ("mem-manage", i)
+    | exception Fault.Bus i -> Error ("bus", i)
+  in
+  let pp_outcome fmt = function
+    | Ok v -> Fmt.pf fmt "0x%Lx" v
+    | Error (what, i) -> Fmt.pf fmt "%s fault (%a)" what Fault.pp_info i
+  in
+  let in_sram addr = addr >= M.Memmap.sram_base && addr < M.Memmap.sram_base + board.M.Memmap.sram_size in
+  let step = function
+    | P_set s ->
+      s.s_apply (M.Bus.protection fast);
+      s.s_apply (M.Bus.protection slow);
+      Ok ()
+    | P_priv b ->
+      fast.M.Bus.cpu.M.Cpu.privileged <- b;
+      slow.M.Bus.cpu.M.Cpu.privileged <- b;
+      Ok ()
+    | P_access { write; addr; width; value } ->
+      let got, want =
+        if write then
+          ( outcome (fun () -> M.Bus.write_priv fast addr width value; 0L),
+            outcome (fun () ->
+                M.Cpu.with_privilege slow.M.Bus.cpu (fun () ->
+                    M.Bus.write slow addr width value);
+                0L) )
+        else
+          ( outcome (fun () -> M.Bus.read_priv fast addr width),
+            outcome (fun () ->
+                M.Cpu.with_privilege slow.M.Bus.cpu (fun () ->
+                    M.Bus.read slow addr width)) )
+      in
+      let cpu b = b.M.Bus.cpu in
+      if got <> want then
+        Error (Fmt.str "outcome %a, reference %a" pp_outcome got pp_outcome want)
+      else if (cpu fast).M.Cpu.cycles <> (cpu slow).M.Cpu.cycles then
+        Error
+          (Printf.sprintf "cycles %d, reference %d" (cpu fast).M.Cpu.cycles
+             (cpu slow).M.Cpu.cycles)
+      else if (cpu fast).M.Cpu.privileged <> (cpu slow).M.Cpu.privileged then
+        Error "privilege level not restored"
+      else if
+        write && in_sram addr
+        && M.Bus.read_raw fast addr 1 <> M.Bus.read_raw slow addr 1
+      then Error "memory differs after the write"
+      else Ok ()
+  in
+  let rec loop i = function
+    | [] -> Ok ()
+    | op :: rest -> (
+      match step op with
+      | Ok () -> loop (i + 1) rest
+      | Error e -> Error (Fmt.str "op %d (%a): %s" i pp_priv_op op e))
+  in
+  loop 0 ops
+
+let prop_priv_accessors kind =
+  QCheck.Test.make
+    ~name:
+      (M.Backend.kind_name kind
+     ^ ": read_priv/write_priv = read/write under with_privilege")
+    ~count:500
+    (QCheck.make
+       ~print:(fun ops -> Fmt.str "@[<v>%a@]" Fmt.(list pp_priv_op) ops)
+       (gen_priv_program kind))
+    (fun ops ->
+      match run_priv_program kind ops with
+      | Ok () -> true
+      | Error e -> QCheck.Test.fail_report e)
+
 let suite () =
   [ ( "bus-cache",
       Alcotest.test_case "invalidation events close cached windows" `Quick
@@ -593,5 +726,6 @@ let suite () =
       :: List.concat_map
            (fun k ->
              List.map QCheck_alcotest.to_alcotest
-               [ prop_cache_matches_check k; prop_window_sound k ])
+               [ prop_cache_matches_check k; prop_window_sound k;
+                 prop_priv_accessors k ])
            M.Backend.all_kinds ) ]

@@ -161,7 +161,7 @@ let test_peripheral_merging () =
 let test_mpu_plan () =
   let image = compile () in
   let op = Option.get (C.Image.op_of_entry image "task_a") in
-  let regions = C.Mpu_plan.peripheral_regions op in
+  let regions = C.Backend_plan.peripheral_regions op in
   Alcotest.(check int) "uart needs one region" 1 (List.length regions);
   let r = List.hd regions in
   Alcotest.(check int) "covers the uart base" 0x4000_4400 r.M.Mpu.base;

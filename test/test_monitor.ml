@@ -503,6 +503,41 @@ let test_incremental_sync_cuts_bytes () =
   Alcotest.(check bool) "per-switch average reflects it" true
     (Mon.Stats.synced_per_switch s1 < Mon.Stats.synced_per_switch s2)
 
+(* [Cpu.with_privilege] is the exception entry/exit the monitor runs
+   under: the previous level must come back on a normal return, when
+   the body raises — a monitor [Violation] or the interpreter's
+   [Aborted], as a denied switch does — and through nested calls. *)
+let test_with_privilege_restores () =
+  let cpu = M.Cpu.create () in
+  cpu.M.Cpu.privileged <- false;
+  let level () = cpu.M.Cpu.privileged in
+  Alcotest.(check bool) "privileged inside" true
+    (M.Cpu.with_privilege cpu level);
+  Alcotest.(check bool) "restored after a return" false (level ());
+  let raises exn =
+    match M.Cpu.with_privilege cpu (fun () -> raise exn) with
+    | () -> Alcotest.fail "the body's exception was swallowed"
+    | exception e ->
+      Alcotest.(check bool) "the same exception propagates" true (e == exn);
+      Alcotest.(check bool) "restored after a raise" false (level ())
+  in
+  raises (Mon.Monitor.Violation "denied");
+  raises (Ex.Interp.Aborted "denied");
+  let inner_level = ref false and between = ref false in
+  M.Cpu.with_privilege cpu (fun () ->
+      M.Cpu.with_privilege cpu (fun () -> inner_level := level ());
+      between := level ();
+      try M.Cpu.with_privilege cpu (fun () -> raise (Mon.Monitor.Violation "x"))
+      with Mon.Monitor.Violation _ -> ());
+  Alcotest.(check bool) "privileged in the nested call" true !inner_level;
+  Alcotest.(check bool) "still privileged between nested calls" true !between;
+  Alcotest.(check bool) "restored after nested calls" false (level ());
+  (* an already privileged caller stays privileged *)
+  cpu.M.Cpu.privileged <- true;
+  (try M.Cpu.with_privilege cpu (fun () -> raise (Ex.Interp.Aborted "x"))
+   with Ex.Interp.Aborted _ -> ());
+  Alcotest.(check bool) "a privileged caller stays privileged" true (level ())
+
 let suite () =
   [ ( "monitor",
       [ Alcotest.test_case "sync propagates" `Quick test_sync_propagates;
@@ -520,4 +555,6 @@ let suite () =
         Alcotest.test_case "MPU virtualization" `Quick test_peripheral_virtualization;
         Alcotest.test_case "core periph emulation" `Quick test_core_peripheral_emulation;
         Alcotest.test_case "unlisted core periph blocked" `Quick test_core_peripheral_unlisted_blocked;
-        Alcotest.test_case "pointer field fixup" `Quick test_pointer_field_fixup ] ) ]
+        Alcotest.test_case "pointer field fixup" `Quick test_pointer_field_fixup;
+        Alcotest.test_case "with_privilege restores the level" `Quick
+          test_with_privilege_restores ] ) ]

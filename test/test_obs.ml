@@ -8,6 +8,7 @@ module Mon = Opec_monitor
 module Obs = Opec_obs
 module E = Opec_exec
 module P = Opec_pipeline.Pipeline
+module Json = Opec_json.Json
 
 let spans evs =
   List.filter_map (function Obs.Sink.Switch s -> Some s | _ -> None) evs
@@ -184,6 +185,50 @@ let test_trace_cache () =
   Alcotest.(check (list string)) "clear resets both views" []
     (List.map (fun _ -> "?") (E.Trace.events tr))
 
+(* ---- pinned exports ------------------------------------------------- *)
+
+(* Digests of every exporter's output for each registry workload under
+   the MPU, against data/obs_export_digests.json.  The event stream, the
+   aggregate behind the text and JSON reports, and their number
+   formatting are all covered, so a change to the monitor's recorder or
+   to [Agg]'s counters that alters one byte of output fails here.  On a
+   difference the current table is written to obs_export_digests.json.actual
+   next to the test binary. *)
+let export_ref = "data/obs_export_digests.json"
+
+let export_table () =
+  let rows =
+    List.map
+      (fun (app : Apps.App.t) ->
+        let o = P.protected_obs (P.ctx app) in
+        P.reraise o.P.o_err;
+        let digest f =
+          Json.Str (Digest.to_hex (Digest.string (Obs.Export.render f o.P.o_events)))
+        in
+        Json.to_string ~layout:Json.Spaced
+          (Json.Obj
+             [ ("app", Json.Str app.Apps.App.app_name);
+               ("json", digest Obs.Export.Json);
+               ("chrome", digest Obs.Export.Chrome);
+               ("text", digest Obs.Export.Text) ]))
+      (Apps.Registry.all_small ())
+  in
+  "[\n" ^ String.concat ",\n" rows ^ "\n]\n"
+
+let test_export_digests () =
+  let ic = open_in_bin export_ref in
+  let expected = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let actual = export_table () in
+  if not (String.equal expected actual) then begin
+    let out = "obs_export_digests.json.actual" in
+    let oc = open_out_bin out in
+    output_string oc actual;
+    close_out oc;
+    Alcotest.failf "export digests differ from %s (current table in %s)"
+      export_ref out
+  end
+
 let suite () =
   [ ( "obs",
       [ Alcotest.test_case "counter drift (all workloads)" `Quick
@@ -195,4 +240,6 @@ let suite () =
           test_json_reconciles;
         Alcotest.test_case "text export renders" `Quick test_text_renders;
         Alcotest.test_case "null sink inert" `Quick test_null_sink_inert;
-        Alcotest.test_case "trace forward cache" `Quick test_trace_cache ] ) ]
+        Alcotest.test_case "trace forward cache" `Quick test_trace_cache;
+        Alcotest.test_case "export digests pinned (all workloads, MPU)"
+          `Quick test_export_digests ] ) ]
